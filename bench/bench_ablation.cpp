@@ -22,10 +22,6 @@ int main(int argc, char** argv) {
   bench::print_header("ablations: IR baseline, dynamic termination, Chebyshev, preconditioners",
                       cfg);
 
-  FlatSolverCaps caps;
-  caps.rtol = cfg.rtol;
-  caps.max_iters = cfg.max_iters;
-
   // --- A + B + C on each matrix ---
   Table t({"matrix", "solver", "outer-its", "M-applies", "time[s]", "conv"});
   auto row = [&](const std::string& name, const SolveResult& r) {
@@ -36,13 +32,19 @@ int main(int argc, char** argv) {
 
   for (const auto& name : cfg.matrices) {
     auto p = prepare_standin(name, cfg.scale, 7, cfg.use_sell());
-    auto m = make_primary(p, PrecondKind::BlockJacobiIluIc, cfg.nblocks);
+    auto m = bench::bj_primary(p, cfg);
+    auto nested = [&](const NestedConfig& nc) {
+      return Session(borrow_problem(p), nc, f3r_termination(cfg.rtol), m).solve();
+    };
+    auto flat = [&](const SolverSpec& s) {
+      return Session(borrow_problem(p), s, m).solve();
+    };
 
-    row(name, run_nested(p, m, f3r_config(Prec::FP16), f3r_termination(cfg.rtol)));
+    row(name, nested(f3r_config(Prec::FP16)));
 
     // A: conventional iterative refinement baselines.
-    row(name, run_ir_gmres(p, *m, Prec::FP32, 8, caps));
-    row(name, run_ir_gmres(p, *m, Prec::FP16, 8, caps));
+    row(name, flat(bench::flat_spec("ir-gmres8", Prec::FP32, cfg)));
+    row(name, flat(bench::flat_spec("ir-gmres8", Prec::FP16, cfg)));
 
     // B: dynamic inner termination on levels 2 and 3.
     for (double irt : {0.5, 0.1, 0.01}) {
@@ -50,7 +52,7 @@ int main(int argc, char** argv) {
       dyn.name = "fp16-F3R-dyn(" + Table::fmt(irt, 2) + ")";
       dyn.levels[1].inner_rtol = irt;
       dyn.levels[2].inner_rtol = irt;
-      row(name, run_nested(p, m, dyn, f3r_termination(cfg.rtol)));
+      row(name, nested(dyn));
     }
 
     // C: Chebyshev at the third level.
@@ -58,7 +60,7 @@ int main(int argc, char** argv) {
     cheb.name = "fp16-F2C-R";
     cheb.levels[2].kind = SolverKind::Chebyshev;
     cheb.levels[2].eig_ratio = 20.0;
-    row(name, run_nested(p, m, cheb, f3r_termination(cfg.rtol)));
+    row(name, nested(cheb));
   }
   print_banner(std::cout, "A/B/C: refinement baseline, dynamic termination, Chebyshev level");
   bench::finish_table(t, cfg);
@@ -72,17 +74,19 @@ int main(int argc, char** argv) {
       std::shared_ptr<PrimaryPrecond> m;
     };
     std::vector<Entry> primaries;
-    primaries.push_back({"bj-ilu0/ic0", make_primary(p, PrecondKind::BlockJacobiIluIc,
-                                                     cfg.nblocks)});
-    primaries.push_back({"sd-ainv", make_primary(p, PrecondKind::SdAinv)});
+    primaries.push_back({"bj-ilu0/ic0", bench::bj_primary(p, cfg)});
+    primaries.push_back(
+        {"sd-ainv", registry().make_precond(parse_precond_spec("sd-ainv"), p)});
     primaries.push_back(
         {"ssor(1.0)", std::make_shared<SsorPrecond>(
                           p.a->csr_fp64(), SsorPrecond::Config{cfg.nblocks, 1.0})});
     primaries.push_back({"neumann(2)", std::make_shared<NeumannPrecond>(
                                            p.a->csr_fp64(), NeumannPrecond::Config{2})});
-    primaries.push_back({"jacobi", make_primary(p, PrecondKind::Jacobi)});
+    primaries.push_back({"jacobi", registry().make_precond(parse_precond_spec("jacobi"), p)});
     for (auto& e : primaries) {
-      const auto r = run_nested(p, e.m, f3r_config(Prec::FP16), f3r_termination(cfg.rtol));
+      const auto r = Session(borrow_problem(p), f3r_config(Prec::FP16),
+                             f3r_termination(cfg.rtol), e.m)
+                         .solve();
       tp.add_row({name, e.label, Table::fmt_int(r.iterations),
                   Table::fmt_int(static_cast<long long>(r.precond_invocations)),
                   Table::fmt(r.seconds, 3), r.converged ? "yes" : "NO"});

@@ -30,7 +30,9 @@
 #include "base/env.hpp"
 #include "base/options.hpp"
 #include "base/table.hpp"
-#include "core/runner.hpp"
+#include "core/f3r.hpp"
+#include "core/registry.hpp"
+#include "core/session.hpp"
 #include "sparse/gen/suite_standins.hpp"
 
 namespace nk::bench {
@@ -80,6 +82,25 @@ inline BenchConfig parse_bench_options(const Options& opt,
     std::exit(2);
   }
   return c;
+}
+
+/// The paper's CPU-node primary preconditioner for this run: block-Jacobi
+/// ILU(0)/IC(0) with --nblocks blocks.
+inline std::shared_ptr<PrimaryPrecond> bj_primary(const PreparedProblem& p,
+                                                  const BenchConfig& c) {
+  return registry().make_precond(
+      parse_precond_spec("bj;nblocks=" + std::to_string(c.nblocks)), p);
+}
+
+/// A flat baseline's spec under this run's caps: `kind` ("krylov",
+/// "fgmres64", "ir-gmres8", ...) at precision axis `prec`, with --rtol and
+/// --max-iters.
+inline SolverSpec flat_spec(const std::string& kind, Prec prec, const BenchConfig& c) {
+  SolverSpec s = parse_solver_spec(kind);
+  s.prec = prec;
+  s.rtol = c.rtol;
+  s.max_iters = c.max_iters;
+  return s;
 }
 
 inline void print_header(const std::string& what, const BenchConfig& c) {

@@ -41,10 +41,13 @@ int main(int argc, char** argv) {
   Table t({"matrix", "variant", "rel-conv-speed", "rel-performance", "M-applies", "conv"});
   for (const auto& name : cfg.matrices) {
     auto p = prepare_standin(name, cfg.scale, 7, cfg.use_sell());
-    auto m = make_primary(p, PrecondKind::BlockJacobiIluIc, cfg.nblocks);
+    auto m = bench::bj_primary(p, cfg);
+    auto nested = [&](const NestedConfig& nc) {
+      return Session(borrow_problem(p), nc, f3r_termination(cfg.rtol), m).solve();
+    };
 
     const auto base = bench::best_of(cfg.runs, [&] {
-      return run_nested(p, m, f3r_config(Prec::FP16), f3r_termination(cfg.rtol));
+      return nested(f3r_config(Prec::FP16));
     });
     if (!base.converged) {
       t.add_row({name, "default(8-4-2)", "-", "-", "-", "NO"});
@@ -55,7 +58,7 @@ int main(int argc, char** argv) {
 
     for (const auto& v : variants) {
       const auto r = bench::best_of(cfg.runs, [&] {
-        return run_nested(p, m, f3r_config(Prec::FP16, v.prm), f3r_termination(cfg.rtol));
+        return nested(f3r_config(Prec::FP16, v.prm));
       });
       if (!r.converged) {
         t.add_row({name, v.label, "-", "-", "-", "NO"});

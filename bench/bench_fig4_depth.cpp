@@ -23,10 +23,13 @@ int main(int argc, char** argv) {
            "conv"});
   for (const auto& name : cfg.matrices) {
     auto p = prepare_standin(name, cfg.scale, 7, cfg.use_sell());
-    auto m = make_primary(p, PrecondKind::BlockJacobiIluIc, cfg.nblocks);
+    auto m = bench::bj_primary(p, cfg);
+    auto nested = [&](const NestedConfig& nc) {
+      return Session(borrow_problem(p), nc, f3r_termination(cfg.rtol), m).solve();
+    };
 
     const auto base = bench::best_of(cfg.runs, [&] {
-      return run_nested(p, m, f3r_config(Prec::FP16), f3r_termination(cfg.rtol));
+      return nested(f3r_config(Prec::FP16));
     });
     t.add_row({name, "fp16-F3R", "1.00", "1.00",
                base.converged
@@ -36,7 +39,7 @@ int main(int argc, char** argv) {
 
     for (const auto& vname : variant_names()) {
       const auto r = bench::best_of(cfg.runs, [&] {
-        return run_nested(p, m, variant_config(vname), f3r_termination(cfg.rtol));
+        return nested(variant_config(vname));
       });
       if (!r.converged || !base.converged) {
         t.add_row({name, vname, "-", "-", "-", Table::fmt(r.seconds, 3),

@@ -16,10 +16,13 @@ int main(int argc, char** argv) {
   Table t({"matrix", "c", "rel-conv-speed", "rel-performance", "M-applies", "conv"});
   for (const auto& name : cfg.matrices) {
     auto p = prepare_standin(name, cfg.scale, 7, cfg.use_sell());
-    auto m = make_primary(p, PrecondKind::BlockJacobiIluIc, cfg.nblocks);
+    auto m = bench::bj_primary(p, cfg);
+    auto nested = [&](const NestedConfig& nc) {
+      return Session(borrow_problem(p), nc, f3r_termination(cfg.rtol), m).solve();
+    };
 
     const auto base = bench::best_of(cfg.runs, [&] {
-      return run_nested(p, m, f3r_config(Prec::FP16), f3r_termination(cfg.rtol));
+      return nested(f3r_config(Prec::FP16));
     });
     t.add_row({name, "64 (default)", "1.00", "1.00",
                base.converged
@@ -32,7 +35,7 @@ int main(int argc, char** argv) {
       F3rParams prm;
       prm.cycle = c;
       const auto r = bench::best_of(cfg.runs, [&] {
-        return run_nested(p, m, f3r_config(Prec::FP16, prm), f3r_termination(cfg.rtol));
+        return nested(f3r_config(Prec::FP16, prm));
       });
       if (!r.converged) {
         t.add_row({name, std::to_string(c), "-", "-", "-", "NO"});

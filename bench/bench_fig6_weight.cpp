@@ -18,10 +18,13 @@ int main(int argc, char** argv) {
   Table t({"matrix", "omega", "performance-vs-adaptive", "conv-speed-vs-adaptive", "conv"});
   for (const auto& name : cfg.matrices) {
     auto p = prepare_standin(name, cfg.scale, 7, cfg.use_sell());
-    auto m = make_primary(p, PrecondKind::BlockJacobiIluIc, cfg.nblocks);
+    auto m = bench::bj_primary(p, cfg);
+    auto nested = [&](const NestedConfig& nc) {
+      return Session(borrow_problem(p), nc, f3r_termination(cfg.rtol), m).solve();
+    };
 
     const auto adaptive = bench::best_of(cfg.runs, [&] {
-      return run_nested(p, m, f3r_config(Prec::FP16), f3r_termination(cfg.rtol));
+      return nested(f3r_config(Prec::FP16));
     });
     t.add_row({name, "adaptive", "1.00", "1.00", adaptive.converged ? "yes" : "NO"});
     if (!adaptive.converged) continue;
@@ -31,7 +34,7 @@ int main(int argc, char** argv) {
       prm.adaptive = false;
       prm.fixed_weight = static_cast<float>(w);
       const auto r = bench::best_of(cfg.runs, [&] {
-        return run_nested(p, m, f3r_config(Prec::FP16, prm), f3r_termination(cfg.rtol));
+        return nested(f3r_config(Prec::FP16, prm));
       });
       if (!r.converged) {
         t.add_row({name, Table::fmt(w, 1), "-", "-", "NO"});

@@ -12,7 +12,6 @@
 // Build: cmake --build build --target batched_solve
 #include <cstdio>
 
-#include "core/runner.hpp"
 #include "nkrylov.hpp"
 
 using namespace nk;
@@ -22,7 +21,7 @@ int main() {
 
   // --- setup (once per matrix) -------------------------------------------
   PreparedProblem p = prepare_standin("ecology2", 1);
-  auto m = make_primary(p, PrecondKind::BlockJacobiIluIc, 64);
+  auto m = registry().make_precond(parse_precond_spec("bj;nblocks=64"), p);
   const std::size_t n = p.b.size();
   std::printf("problem %s: n=%d, nnz=%d, precond %s\n", p.name.c_str(),
               static_cast<int>(p.a->size()), static_cast<int>(p.a->csr_fp64().nnz()),
@@ -41,7 +40,7 @@ int main() {
                 many[c].final_relres);
 
   // --- ragged waves: same batch, at most 4 columns in flight --------------
-  // The compacting scheduler refills a retiring column's slot from the
+  // The batched solver refills a retiring column's slot from the
   // pending queue, so one wave-sized workspace serves any RHS count and
   // every column still reproduces its sequential solve bit-for-bit.
   X.assign(n * k, 0.0);
@@ -66,7 +65,7 @@ int main() {
   }
 
   PreparedProblem p2 = prepare_standin("thermal2", 1);
-  auto m2 = make_primary(p2, PrecondKind::BlockJacobiIluIc, 64);
+  auto m2 = registry().make_precond(parse_precond_spec("bj;nblocks=64"), p2);
   const auto allocs_before = ws.allocations();
   {
     std::vector<double> B2 = batch_rhs(p2, k);

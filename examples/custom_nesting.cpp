@@ -9,7 +9,9 @@
 #include "base/options.hpp"
 #include "base/table.hpp"
 #include "core/cost_model.hpp"
-#include "core/runner.hpp"
+#include "core/f3r.hpp"
+#include "core/registry.hpp"
+#include "core/session.hpp"
 
 int main(int argc, char** argv) {
   nk::Options opt(argc, argv);
@@ -18,7 +20,7 @@ int main(int argc, char** argv) {
   const double rtol = opt.get_double("rtol", 1e-8);
 
   auto p = nk::prepare_standin(problem, opt.get_int("scale", 1));
-  auto m = nk::make_primary(p, nk::PrecondKind::BlockJacobiIluIc, 64);
+  auto m = nk::registry().make_precond(nk::parse_precond_spec("bj;nblocks=64"), p);
   std::cout << "problem " << p.name << ": n=" << p.a->size()
             << ", nnz/row=" << nk::Table::fmt(p.a->csr_fp64().nnz_per_row(), 1) << "\n";
 
@@ -61,13 +63,15 @@ int main(int argc, char** argv) {
                nk::Table::fmt_int(static_cast<long long>(r.precond_invocations)),
                nk::Table::fmt(r.seconds, 3), r.converged ? "yes" : "NO"});
   };
-  row(nk::run_nested(p, m, custom, nk::f3r_termination(rtol)), nk::tuple_notation(custom));
-  row(nk::run_nested(p, m, nk::f3r_config(nk::Prec::FP16), nk::f3r_termination(rtol)),
-      "(F^100, F^8, F^4, R^2, M)");
-  nk::FlatSolverCaps caps;
-  caps.rtol = rtol;
-  caps.max_iters = opt.get_int("max-iters", 5000);
-  row(nk::run_fgmres_restarted(p, *m, nk::Prec::FP64, budget, caps),
+  auto nested = [&](const nk::NestedConfig& cfg) {
+    return nk::Session(nk::borrow_problem(p), cfg, nk::f3r_termination(rtol), m).solve();
+  };
+  row(nested(custom), nk::tuple_notation(custom));
+  row(nested(nk::f3r_config(nk::Prec::FP16)), "(F^100, F^8, F^4, R^2, M)");
+  nk::SolverSpec flat = nk::parse_solver_spec("fgmres" + std::to_string(budget));
+  flat.rtol = rtol;
+  flat.max_iters = opt.get_int("max-iters", 5000);
+  row(nk::Session(nk::borrow_problem(p), flat, m).solve(),
       "(F^" + std::to_string(budget) + ", M) restarted");
   t.print(std::cout);
   return 0;

@@ -10,8 +10,9 @@
 #include "base/env.hpp"
 #include "base/options.hpp"
 #include "base/table.hpp"
-#include "core/runner.hpp"
-#include "core/variants.hpp"
+#include "core/f3r.hpp"
+#include "core/registry.hpp"
+#include "core/session.hpp"
 #include "sparse/stats.hpp"
 
 int main(int argc, char** argv) {
@@ -29,12 +30,7 @@ int main(int argc, char** argv) {
             << (gpu_sim ? " [GPU-sim: SELL-32 + SD-AINV]" : " [CPU: CSR + block-Jacobi ILU/IC]")
             << "\n";
 
-  auto m = nk::make_primary(p, gpu_sim ? nk::PrecondKind::SdAinv
-                                       : nk::PrecondKind::BlockJacobiIluIc);
-
-  nk::FlatSolverCaps caps;
-  caps.rtol = rtol;
-  caps.max_iters = max_iters;
+  auto m = nk::registry().make_precond(nk::parse_precond_spec(gpu_sim ? "sd-ainv" : "bj"), p);
 
   nk::Table table({"solver", "converged", "outer-its", "M-applies", "time[s]", "relres"});
   auto add = [&](const nk::SolveResult& r) {
@@ -45,15 +41,21 @@ int main(int argc, char** argv) {
 
   // The three F3R precision configurations.
   for (nk::Prec prec : {nk::Prec::FP64, nk::Prec::FP32, nk::Prec::FP16})
-    add(nk::run_nested(p, m, nk::f3r_config(prec), nk::f3r_termination(rtol)));
+    add(nk::Session(nk::borrow_problem(p), nk::f3r_config(prec), nk::f3r_termination(rtol), m)
+            .solve());
 
-  // The paper's conventional baselines with fp64/fp32/fp16 preconditioners.
+  // The paper's conventional baselines with fp64/fp32/fp16 preconditioners
+  // ("krylov" = CG when symmetric, BiCGStab otherwise).
+  auto flat = [&](const char* kind, nk::Prec st) {
+    nk::SolverSpec s = nk::parse_solver_spec(kind);
+    s.prec = st;
+    s.rtol = rtol;
+    s.max_iters = max_iters;
+    return nk::Session(nk::borrow_problem(p), s, m).solve();
+  };
   for (nk::Prec st : {nk::Prec::FP64, nk::Prec::FP32, nk::Prec::FP16}) {
-    if (p.symmetric)
-      add(nk::run_cg(p, *m, st, caps));
-    else
-      add(nk::run_bicgstab(p, *m, st, caps));
-    add(nk::run_fgmres_restarted(p, *m, st, 64, caps));
+    add(flat("krylov", st));
+    add(flat("fgmres64", st));
   }
 
   table.print(std::cout);

@@ -17,7 +17,9 @@
 
 #include "base/env.hpp"
 #include "base/options.hpp"
-#include "core/runner.hpp"
+#include "core/f3r.hpp"
+#include "core/registry.hpp"
+#include "core/session.hpp"
 #include "sparse/io_matrix_market.hpp"
 #include "sparse/stats.hpp"
 
@@ -50,10 +52,9 @@ int main(int argc, char** argv) {
 
   nk::SolveResult res;
   if (solver == "fp16-F3R-best") {  // a search over specs, not a spec itself
-    auto m = nk::make_primary(p, gpu_sim ? nk::PrecondKind::SdAinv
-                                         : nk::PrecondKind::BlockJacobiIluIc,
-                              opt.get_int("nblocks", 64));
-    res = nk::run_f3r_best(p, m, rtol).result;
+    nk::PrecondSpec ps = nk::parse_precond_spec(gpu_sim ? "sd-ainv" : "bj");
+    ps.nblocks = opt.get_int("nblocks", 64);
+    res = nk::run_f3r_best(p, nk::registry().make_precond(ps, p), rtol).result;
   } else {
     // Malformed/unknown --solver values exit(2) with the registered kinds
     // listed — same discipline as the numeric flag parsers.  Dedicated

@@ -11,7 +11,8 @@
 
 #include "base/options.hpp"
 #include "base/table.hpp"
-#include "core/runner.hpp"
+#include "core/f3r.hpp"
+#include "core/registry.hpp"
 #include "sparse/gen/laplace.hpp"
 #include "sparse/scaling.hpp"
 
@@ -48,7 +49,7 @@ int main(int argc, char** argv) {
   p.a = std::make_shared<nk::MultiPrecMatrix>(std::move(scaled));
   p.b = b;
 
-  auto m = nk::make_primary(p, nk::PrecondKind::BlockJacobiIluIc, 16);
+  auto m = nk::registry().make_precond(nk::parse_precond_spec("bj;nblocks=16"), p);
 
   nk::Table t({"solver", "outer-its", "M-applies", "time[s]", "relres", "peak-u", "peak-at"});
   for (nk::Prec prec : {nk::Prec::FP64, nk::Prec::FP32, nk::Prec::FP16}) {

@@ -136,7 +136,6 @@ class FlatKrylovEngine final : public SolverEngine {
     // BiCGStab makes 2 preconditioner calls per iteration: half the cap.
     cfg.max_iters = halve_iters_ ? spec_.max_iters / 2 : spec_.max_iters;
     cfg.record_history = spec_.record_history;
-    cfg.compact = spec_.compact;
     cfg.layout = spec_.layout;  // unset → the workspace's panel_layout()
     cfg.stagnate_window = spec_.stagnate_window;
     return cfg;
@@ -449,7 +448,7 @@ class IdentityPrimary final : public PrimaryPrecond {
 };
 
 /// Block-Jacobi ILU(0)/IC(0): the paper's CPU-node primary, IC(0) on
-/// symmetric problems (make_primary's long-standing selection rule).
+/// symmetric problems.
 std::shared_ptr<PrimaryPrecond> make_bj(const PrecondSpec& spec, const PreparedProblem& p,
                                         int force) {
   const CsrMatrix<double>& a = p.a->csr_fp64();

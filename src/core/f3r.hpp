@@ -10,12 +10,15 @@
 //              third level (fp32 vectors), all-fp16 innermost Richardson.
 //
 // The factory functions here produce NestedConfig descriptions consumed by
-// NestedSolver; see variants.hpp for the Section 6.2 ablation solvers.
+// NestedSolver (run_f3r_best searches the fp16-F3R-best parameter box);
+// see variants.hpp for the Section 6.2 ablation solvers.
 #pragma once
 
+#include <memory>
 #include <string>
 
 #include "core/nested_builder.hpp"
+#include "core/problem.hpp"
 
 namespace nk {
 
@@ -39,5 +42,18 @@ std::string f3r_name(Prec lowest);
 
 /// The paper's default termination for F3R (rtol 1e-8, ≤ 3 restarts).
 Termination f3r_termination(double rtol = 1e-8);
+
+/// Search the paper's fp16-F3R-best parameter box (m2 ∈ {6..10},
+/// m3 ∈ {2..6}, m4 ∈ {1,2}) and return the fastest converged run plus its
+/// parameters formatted "m2-m3-m4".  `budget` limits the number of
+/// configurations tried (they are ordered by the memory-access model).
+struct BestSearchResult {
+  SolveResult result;
+  F3rParams params;
+  std::string param_label;
+  int tried = 0;
+};
+BestSearchResult run_f3r_best(const PreparedProblem& p, std::shared_ptr<PrimaryPrecond> m,
+                              double rtol = 1e-8, int budget = 12);
 
 }  // namespace nk

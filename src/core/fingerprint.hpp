@@ -16,9 +16,8 @@
 // pass, no tolerance.  A hash collision between distinct matrices is
 // accepted at the usual 2^-64 odds, like every content-addressed cache.
 //
-// Hoisted out of core/service/ (PR 10) so library-only builds fingerprint
-// matrices without linking the service layer; the old nk::service names
-// remain as aliases in core/service/fingerprint.hpp.
+// Lives in core (not core/service/) so library-only builds fingerprint
+// matrices without linking the service layer.
 #pragma once
 
 #include <cstddef>

@@ -2,10 +2,6 @@
 // (or load) a matrix, diagonally scale it (the paper scales all matrices),
 // build the uniform-[0,1) right-hand side, and wrap the matrix in the
 // multi-precision store the solvers draw their typed operators from.
-//
-// Split out of core/runner.hpp so the descriptor layer (spec/registry/
-// session) can name PreparedProblem without pulling in the legacy runner
-// entry points.
 #pragma once
 
 #include <cstdint>

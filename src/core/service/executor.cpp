@@ -4,7 +4,7 @@
 #include <set>
 #include <utility>
 
-#include "core/service/fingerprint.hpp"
+#include "core/fingerprint.hpp"
 
 namespace nk::service {
 

@@ -5,7 +5,7 @@
 #include <sstream>
 #include <vector>
 
-#include "core/service/fingerprint.hpp"
+#include "core/fingerprint.hpp"
 
 namespace nk::service {
 

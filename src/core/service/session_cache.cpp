@@ -3,8 +3,8 @@
 #include <utility>
 #include <vector>
 
+#include "core/fingerprint.hpp"
 #include "core/problem.hpp"
-#include "core/service/fingerprint.hpp"
 
 namespace nk::service {
 

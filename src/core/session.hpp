@@ -4,7 +4,7 @@
 // primary preconditioner (built from the spec, or borrowed from the
 // caller), a grow-only SolverWorkspace, and the type-erased solver engine
 // the registry minted for the spec.  Single- and multi-RHS solves (ragged
-// waves, compact/masked scheduling — all named by the spec) then run
+// waves and survivor-panel layout, both named by the spec) then run
 // through one uniform surface:
 //
 //   nk::PreparedProblem p = nk::prepare_standin("ecology2", 1);
@@ -43,15 +43,15 @@
 namespace nk {
 
 /// Non-owning shared_ptr view of a caller-owned preconditioner (the
-/// aliasing-constructor idiom) — the bridge from the legacy run_* surface,
-/// whose callers keep ownership of M.  `m` must outlive every user.
+/// aliasing-constructor idiom), for callers that keep ownership of M (one
+/// factorization shared by several Sessions).  `m` must outlive every user.
 inline std::shared_ptr<PrimaryPrecond> borrow_precond(PrimaryPrecond& m) {
   return std::shared_ptr<PrimaryPrecond>(std::shared_ptr<void>(), &m);
 }
 
 /// Non-owning view of a caller-owned prepared problem: a Session built
-/// over it performs no copy of the RHS (the run_* shims and per-cell
-/// sweeps use this).  `p` must outlive the Session.
+/// over it performs no copy of the RHS (benches and per-cell sweeps use
+/// this).  `p` must outlive the Session.
 inline std::shared_ptr<const PreparedProblem> borrow_problem(const PreparedProblem& p) {
   return std::shared_ptr<const PreparedProblem>(std::shared_ptr<void>(), &p);
 }
@@ -107,8 +107,8 @@ class Session {
   SolveResult solve(std::span<const double> b, std::span<double> x);
 
   /// Batched solve: k right-hand sides, column c of B/X contiguous at
-  /// offset c·n.  Wave width and compact/masked scheduling come from the
-  /// spec ("...;wave=8", "...;masked").  k ≤ 0 returns an empty vector;
+  /// offset c·n.  Wave width and panel layout come from the spec
+  /// ("...;wave=8", "...;layout=colmajor").  k ≤ 0 returns an empty vector;
   /// size mismatches return k kInvalidInput results.  Under ";fallback="
   /// every retired non_finite/breakdown column is re-solved individually
   /// through the scalar escalation ladder.

@@ -151,11 +151,6 @@ void apply_option(const Option& o, SolverSpec* s, PrecondSpec* pc) {
       s->wave = parse_int_opt(o.key, require_value(o), 0);
       return;
     }
-    if (o.key == "masked") {
-      require_flag(o);
-      s->compact = false;
-      return;
-    }
     if (o.key == "nohist") {
       require_flag(o);
       s->record_history = false;
@@ -219,7 +214,7 @@ void apply_option(const Option& o, SolverSpec* s, PrecondSpec* pc) {
   throw SpecError(
       "unknown spec option '" + o.key +
       (s != nullptr
-           ? "' (solver: rtol max-iters restarts wave masked nohist layout "
+           ? "' (solver: rtol max-iters restarts wave nohist layout "
              "stagnate-window fallback backend; "
              "preconditioner: nblocks omega degree inject inner)"
            : "' (preconditioner options: nblocks omega degree inject inner)"));
@@ -363,7 +358,6 @@ std::string SolverSpec::to_string() const {
   if (max_restarts != def.max_restarts) s += ";restarts=" + std::to_string(max_restarts);
   if (!record_history) s += ";nohist";
   if (wave != def.wave) s += ";wave=" + std::to_string(wave);
-  if (!compact) s += ";masked";
   if (layout.has_value()) s += std::string(";layout=") + panel_layout_name(*layout);
   if (stagnate_window != def.stagnate_window)
     s += ";stagnate-window=" + std::to_string(stagnate_window);

@@ -23,7 +23,7 @@
 //   prec         := fp64 | fp32 | fp16
 //   backend      := host | omp | serial    (base/backend.hpp)
 //
-// Solver options: rtol=, max-iters=, restarts=, wave=, masked, nohist,
+// Solver options: rtol=, max-iters=, restarts=, wave=, nohist,
 // layout= (rowmajor|colmajor survivor-panel storage; base/panel.hpp),
 // backend= (execution-space backend; ":NAME" on the head is an alias, and
 // giving both is an error).  An unset backend means "resolve at build
@@ -107,7 +107,6 @@ struct SolverSpec {
 
   // Batching (solve_many scheduling; see CgSolver).
   int wave = 0;              ///< ragged-wave width (0 = whole batch at once)
-  bool compact = true;       ///< false = masked-lockstep A/B reference path
   /// Survivor-panel layout for the batched solvers ("layout=rowmajor" /
   /// "layout=colmajor"; see base/panel.hpp).  Unset = the workspace default
   /// (row-major).  Iterates are bit-identical across layouts.

@@ -227,7 +227,6 @@ class AutoEngine final : public SolverEngine {
     full.max_restarts = user_.max_restarts;
     full.record_history = user_.record_history;
     full.wave = user_.wave;
-    full.compact = user_.compact;
     full.layout = user_.layout;
     full.stagnate_window = user_.stagnate_window;
     full.fallback = user_.fallback;

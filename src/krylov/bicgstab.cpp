@@ -124,6 +124,13 @@ SolveResult BiCgStabSolver<VT>::solve(std::span<const VT> b, std::span<VT> x) {
   return res;
 }
 
+// Batched BiCGStab with active-set compaction (see CgSolver::solve_many
+// for the scheme): survivors occupy the leading `na` columns of the eight
+// panels, `map[j]` scatters x updates back to original caller columns, and
+// every kernel — the four applications per iteration included — runs at
+// the current width.  Retirement swap-removes a slot (data moves verbatim,
+// so iterates stay bit-identical to solve()); with 0 < wave < k pending
+// right-hand sides refill freed slots at iteration boundaries.
 template <class VT>
 std::vector<SolveResult> BiCgStabSolver<VT>::solve_many(const VT* b, std::ptrdiff_t ldb,
                                                         VT* x, std::ptrdiff_t ldx, int k,
@@ -131,25 +138,6 @@ std::vector<SolveResult> BiCgStabSolver<VT>::solve_many(const VT* b, std::ptrdif
   std::vector<SolveResult> res(static_cast<std::size_t>(std::max(k, 0)));
   for (auto& r : res) r.solver = "bicgstab";
   if (k <= 0) return res;
-  if (cfg_.compact) {
-    solve_many_compact(b, ldb, x, ldx, k, wave, res);
-  } else {
-    solve_many_masked(b, ldb, x, ldx, k, res);
-  }
-  return res;
-}
-
-// Compacting batched BiCGStab (see CgSolver::solve_many_compact for the
-// scheme): survivors occupy the leading `na` columns of the eight panels,
-// `map[j]` scatters x updates back to original caller columns, and every
-// kernel — the four applications per iteration included — runs at the
-// current width.  Retirement swap-removes a slot (data moves verbatim, so
-// iterates stay bit-identical to solve()); with 0 < wave < k pending
-// right-hand sides refill freed slots at iteration boundaries.
-template <class VT>
-void BiCgStabSolver<VT>::solve_many_compact(const VT* b, std::ptrdiff_t ldb, VT* x,
-                                            std::ptrdiff_t ldx, int k, int wave,
-                                            std::vector<SolveResult>& res) {
   using S = acc_t<VT>;
   const int W = (wave > 0 && wave < k) ? wave : k;  // dispatch width
   const std::size_t ww = static_cast<std::size_t>(W);
@@ -178,8 +166,8 @@ void BiCgStabSolver<VT>::solve_many_compact(const VT* b, std::ptrdiff_t ldb, VT*
   auto stall = w.get<int>(key_ + ".bat.stall", ww);
   const std::ptrdiff_t nld = static_cast<std::ptrdiff_t>(n_);
 
-  // Survivor-panel layout (base/panel.hpp; see CgSolver::solve_many_compact
-  // for the scheme).  Addressing only — iterates are bit-identical.
+  // Survivor-panel layout (base/panel.hpp; see CgSolver::solve_many for
+  // the scheme).  Addressing only — iterates are bit-identical.
   const PanelLayout lay = cfg_.layout.value_or(w.panel_layout());
   const bool ilv = lay == PanelLayout::kColMajor;
   const std::ptrdiff_t pld = ilv ? static_cast<std::ptrdiff_t>(W) : nld;
@@ -449,234 +437,7 @@ void BiCgStabSolver<VT>::solve_many_compact(const VT* b, std::ptrdiff_t ldb, VT*
       ++j;
     }
   }
-}
-
-// Masked lockstep batched BiCGStab — the PR 3 reference path (cfg.compact
-// = false), mirroring solve() per column.  Every per-column scalar
-// recurrence and element-local update matches solve() exactly; the four
-// applications per iteration (M·p, A·phat, M·s, A·shat) run batched while
-// all columns are live, so each streams the matrix/factors once for the
-// whole batch.
-template <class VT>
-void BiCgStabSolver<VT>::solve_many_masked(const VT* b, std::ptrdiff_t ldb, VT* x,
-                                           std::ptrdiff_t ldx, int k,
-                                           std::vector<SolveResult>& res) {
-  using S = acc_t<VT>;
-  const std::size_t kk = static_cast<std::size_t>(k);
-  SolverWorkspace& w = wsref();
-  auto R = w.get<VT>(key_ + ".bat.r", kk * n_);
-  auto RH = w.get<VT>(key_ + ".bat.rhat", kk * n_);
-  auto P = w.get<VT>(key_ + ".bat.p", kk * n_);
-  auto V = w.get<VT>(key_ + ".bat.v", kk * n_);
-  auto Sv = w.get<VT>(key_ + ".bat.s", kk * n_);
-  auto T = w.get<VT>(key_ + ".bat.t", kk * n_);
-  auto PH = w.get<VT>(key_ + ".bat.phat", kk * n_);
-  auto SH = w.get<VT>(key_ + ".bat.shat", kk * n_);
-  auto rho = w.get<S>(key_ + ".bat.rho", kk);
-  auto alpha = w.get<S>(key_ + ".bat.alpha", kk);
-  auto omega = w.get<S>(key_ + ".bat.omega", kk);
-  auto sc0 = w.get<S>(key_ + ".bat.sc0", kk);  // per-column coefficient scratch
-  auto sc1 = w.get<S>(key_ + ".bat.sc1", kk);
-  auto red = w.get<S>(key_ + ".bat.red", kk);  // dot/nrm2 results per column
-  auto red2 = w.get<S>(key_ + ".bat.red2", kk);
-  auto target = w.get<double>(key_ + ".bat.target", kk);
-  auto bref = w.get<double>(key_ + ".bat.bref", kk);
-  auto act = w.get<unsigned char>(key_ + ".bat.act", kk);
-  auto best = w.get<double>(key_ + ".bat.best", kk);  // stagnation guard state
-  auto stall = w.get<int>(key_ + ".bat.stall", kk);
-  const std::ptrdiff_t nld = static_cast<std::ptrdiff_t>(n_);
-
-  auto col = [&](std::span<VT> blk, int c) {
-    return std::span<VT>(blk.data() + static_cast<std::size_t>(c) * n_, n_);
-  };
-  auto ccol = [&](std::span<VT> blk, int c) {
-    return std::span<const VT>(blk.data() + static_cast<std::size_t>(c) * n_, n_);
-  };
-  auto xcol = [&](int c) {
-    return std::span<VT>(x + static_cast<std::ptrdiff_t>(c) * ldx, n_);
-  };
-
-  // nrm2_cols / dot_cols reproduce solve()'s single-threaded blas1
-  // reductions bit-for-bit with the column chains interleaved for ILP.
-  int nactive = 0;
-  a_->residual_many(b, ldb, x, ldx, R.data(), nld, k);
-  kx_.nrm2_cols(b, ldb, k, n_, red.data());
-  kx_.nrm2_cols(R.data(), nld, k, n_, red2.data());
-  for (int c = 0; c < k; ++c) {
-    const double bnorm = static_cast<double>(red[c]);
-    bref[c] = bnorm > 0.0 ? bnorm : 1.0;
-    target[c] = cfg_.rtol * bref[c];
-    kx_.copy(ccol(R, c), col(RH, c));
-    const double rnorm = static_cast<double>(red2[c]);
-    if (cfg_.record_history) res[c].history.push_back(rnorm / bref[c]);
-    if (!std::isfinite(bnorm) || !std::isfinite(rnorm)) {
-      res[c].fail(SolveStatus::kNonFinite, !std::isfinite(bnorm) ? "b" : "rnorm");
-      act[c] = 0;
-      continue;
-    }
-    if (rnorm <= target[c]) {
-      res[c].mark_converged();
-      act[c] = 0;
-      continue;
-    }
-    best[c] = rnorm;
-    stall[c] = 0;
-    rho[c] = S{1};
-    alpha[c] = S{1};
-    omega[c] = S{1};
-    kx_.set_zero(col(P, c));
-    kx_.set_zero(col(V, c));
-    act[c] = 1;
-    ++nactive;
-  }
-
-  auto batched_apply = [&](auto&& one, auto&& many, std::span<VT> in, std::span<VT> out) {
-    if (nactive == k) {
-      many(in.data(), out.data());
-    } else {
-      for (int c = 0; c < k; ++c)
-        if (act[c]) one(ccol(in, c), col(out, c));
-    }
-  };
-  auto m_apply = [&](std::span<VT> in, std::span<VT> out) {
-    batched_apply([&](auto r, auto z) { m_->apply(r, z); },
-                  [&](const VT* r, VT* z) { m_->apply_many(r, nld, z, nld, k); }, in, out);
-  };
-  auto a_apply = [&](std::span<VT> in, std::span<VT> out) {
-    batched_apply([&](auto r, auto z) { a_->apply(r, z); },
-                  [&](const VT* r, VT* z) { a_->apply_many(r, nld, z, nld, k); }, in, out);
-  };
-
-  for (int it = 1; it <= cfg_.max_iters && nactive > 0; ++it) {
-    kx_.dot_cols(RH.data(), nld, R.data(), nld, k, n_, red.data(), act.data());
-    for (int c = 0; c < k; ++c) {
-      if (!act[c]) continue;
-      res[c].iterations = it;
-      const S rho_new = red[c];
-      if (!std::isfinite(static_cast<double>(rho_new)) || rho_new == S{0}) {
-        res[c].fail(std::isfinite(static_cast<double>(rho_new))
-                        ? SolveStatus::kBreakdown
-                        : SolveStatus::kNonFinite,
-                    "rho");
-        act[c] = 0;
-        --nactive;
-        continue;
-      }
-      if (it == 1) {
-        kx_.copy(ccol(R, c), col(P, c));
-        sc0[c] = S{0};  // no direction update on the first iteration
-      } else {
-        sc0[c] = -omega[c];
-        sc1[c] = (rho_new / rho[c]) * (alpha[c] / omega[c]);  // beta
-      }
-      rho[c] = rho_new;
-    }
-    if (it > 1) {
-      // p_c = r_c + beta_c (p_c − omega_c v_c), masked per column.
-      kx_.axpy_cols(sc0.data(), V.data(), nld, P.data(), nld, k, n_, act.data());
-      for (int c = 0; c < k; ++c) sc0[c] = S{1};
-      kx_.axpby_cols(sc0.data(), R.data(), nld, sc1.data(), P.data(), nld, k, n_,
-                       act.data());
-    }
-
-    m_apply(P, PH);
-    a_apply(PH, V);
-    kx_.dot_cols(RH.data(), nld, V.data(), nld, k, n_, red.data(), act.data());
-    for (int c = 0; c < k; ++c) {
-      if (!act[c]) continue;
-      const S rhat_v = red[c];
-      if (!std::isfinite(static_cast<double>(rhat_v)) || rhat_v == S{0}) {
-        res[c].fail(std::isfinite(static_cast<double>(rhat_v))
-                        ? SolveStatus::kBreakdown
-                        : SolveStatus::kNonFinite,
-                    "rhat_v");
-        act[c] = 0;
-        --nactive;
-        continue;
-      }
-      alpha[c] = rho[c] / rhat_v;
-      sc0[c] = -alpha[c];
-      // s_c = r_c − alpha_c v_c
-      kx_.copy(ccol(R, c), col(Sv, c));
-    }
-    kx_.axpy_cols(sc0.data(), V.data(), nld, Sv.data(), nld, k, n_, act.data());
-    kx_.nrm2_cols(Sv.data(), nld, k, n_, red.data(), act.data());
-    for (int c = 0; c < k; ++c) {
-      if (!act[c]) continue;
-      const double snorm = static_cast<double>(red[c]);
-      if (snorm <= target[c]) {
-        kx_.axpy(alpha[c], ccol(PH, c), xcol(c));
-        if (cfg_.record_history) res[c].history.push_back(snorm / bref[c]);
-        res[c].mark_converged();
-        act[c] = 0;
-        --nactive;
-      }
-    }
-    if (nactive == 0) break;
-
-    m_apply(Sv, SH);
-    a_apply(SH, T);
-    kx_.dot_cols(T.data(), nld, T.data(), nld, k, n_, red.data(), act.data());
-    kx_.dot_cols(T.data(), nld, Sv.data(), nld, k, n_, red2.data(), act.data());
-    for (int c = 0; c < k; ++c) {
-      if (!act[c]) continue;
-      const S tt = red[c];
-      if (!std::isfinite(static_cast<double>(tt)) || tt == S{0}) {
-        res[c].fail(std::isfinite(static_cast<double>(tt)) ? SolveStatus::kBreakdown
-                                                           : SolveStatus::kNonFinite,
-                    "tt");
-        act[c] = 0;
-        --nactive;
-        sc0[c] = S{0};
-        sc1[c] = S{0};
-        continue;
-      }
-      omega[c] = red2[c] / tt;
-      sc0[c] = -omega[c];
-      sc1[c] = S{1};
-    }
-    // x_c += alpha_c phat_c + omega_c shat_c (two chained updates, as in
-    // solve()); then r_c = s_c − omega_c t_c.
-    kx_.axpy_cols(alpha.data(), PH.data(), nld, x, ldx, k, n_, act.data());
-    kx_.axpy_cols(omega.data(), SH.data(), nld, x, ldx, k, n_, act.data());
-    for (int c = 0; c < k; ++c)
-      if (act[c]) kx_.copy(ccol(Sv, c), col(R, c));
-    kx_.axpy_cols(sc0.data(), T.data(), nld, R.data(), nld, k, n_, act.data());
-    kx_.nrm2_cols(R.data(), nld, k, n_, red.data(), act.data());
-    for (int c = 0; c < k; ++c) {
-      if (!act[c]) continue;
-      const double rnorm = static_cast<double>(red[c]);
-      if (cfg_.record_history) res[c].history.push_back(rnorm / bref[c]);
-      if (!std::isfinite(rnorm)) {
-        res[c].fail(SolveStatus::kNonFinite, "rnorm");
-        act[c] = 0;
-        --nactive;
-        continue;
-      }
-      if (rnorm <= target[c]) {
-        res[c].mark_converged();
-        act[c] = 0;
-        --nactive;
-        continue;
-      }
-      if (omega[c] == S{0}) {  // stagnation breakdown
-        res[c].fail(SolveStatus::kBreakdown, "omega");
-        act[c] = 0;
-        --nactive;
-        continue;
-      }
-      if (cfg_.stagnate_window > 0) {
-        if (rnorm < 0.99 * best[c]) {
-          best[c] = rnorm;
-          stall[c] = 0;
-        } else if (++stall[c] >= cfg_.stagnate_window) {
-          res[c].fail(SolveStatus::kStagnated, "rnorm");
-          act[c] = 0;
-          --nactive;
-        }
-      }
-    }
-  }
+  return res;
 }
 
 template class BiCgStabSolver<double>;

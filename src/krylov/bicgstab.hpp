@@ -13,7 +13,7 @@
 // deterministic (single-threaded / below the parallel threshold), and to
 // rounding level otherwise.
 //
-// Like CgSolver, the batched path defaults to active-set compaction with a
+// Like CgSolver, the batched path runs active-set compaction with a
 // ragged-wave scheduler (see cg.hpp for the scheme): survivors are
 // compacted into the leading panel columns so every kernel runs at the
 // current width, retiring columns hand their slots to pending right-hand
@@ -47,10 +47,7 @@ class BiCgStabSolver {
     /// kStagnated after this many consecutive iterations without relative-
     /// residual progress.  0 = off (default).
     int stagnate_window = 0;
-    /// true (default) = active-set compaction; false = the PR 3 masked
-    /// lockstep reference path (kept for A/B benching).  Bit-identical.
-    bool compact = true;
-    /// Survivor-panel layout for the compact scheduler (see base/panel.hpp
+    /// Survivor-panel layout for the batched solver (see base/panel.hpp
     /// and CgSolver::Config::layout).  Unset = the workspace default.
     std::optional<PanelLayout> layout;
   };
@@ -93,16 +90,11 @@ class BiCgStabSolver {
 
   /// Batched solve: k systems in lockstep (column c of B/X at b + c·ldb /
   /// x + c·ldx).  Per column bit-identical to solve().  `wave` > 0 caps
-  /// the dispatch width (ragged waves refilled as columns retire); the
-  /// masked reference path (Config::compact = false) ignores it.
+  /// the dispatch width (ragged waves refilled as columns retire).
   std::vector<SolveResult> solve_many(const VT* b, std::ptrdiff_t ldb, VT* x,
                                       std::ptrdiff_t ldx, int k, int wave = 0);
 
  private:
-  void solve_many_masked(const VT* b, std::ptrdiff_t ldb, VT* x, std::ptrdiff_t ldx,
-                         int k, std::vector<SolveResult>& res);
-  void solve_many_compact(const VT* b, std::ptrdiff_t ldb, VT* x, std::ptrdiff_t ldx,
-                          int k, int wave, std::vector<SolveResult>& res);
 
   [[nodiscard]] SolverWorkspace& wsref() { return ws_ != nullptr ? *ws_ : own_; }
 

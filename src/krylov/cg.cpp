@@ -81,33 +81,21 @@ SolveResult CgSolver<VT>::solve(std::span<const VT> b, std::span<VT> x) {
   return res;
 }
 
+// Batched CG with active-set compaction.  Survivor columns live in the
+// leading `na` columns of the R/Z/P/Q panels; `map[j]` names the original
+// column slot j is solving, and retirement swap-removes the slot (column
+// data moves verbatim, so per-column arithmetic — and therefore every
+// iterate — is solve()'s to the bit).  Every kernel runs at width `na`,
+// falling through the compile-time k = 4/8/16 dispatch tiers as the set
+// shrinks.  With 0 < wave < k the same loop becomes the ragged-batch
+// scheduler: at most `wave` columns are in flight, and pending columns
+// are initialized into freed slots at iteration boundaries.
 template <class VT>
 std::vector<SolveResult> CgSolver<VT>::solve_many(const VT* b, std::ptrdiff_t ldb, VT* x,
                                                   std::ptrdiff_t ldx, int k, int wave) {
   std::vector<SolveResult> res(static_cast<std::size_t>(std::max(k, 0)));
   for (auto& r : res) r.solver = "cg";
   if (k <= 0) return res;
-  if (cfg_.compact) {
-    solve_many_compact(b, ldb, x, ldx, k, wave, res);
-  } else {
-    solve_many_masked(b, ldb, x, ldx, k, res);
-  }
-  return res;
-}
-
-// Compacting batched CG — the default scheduler.  Survivor columns live in
-// the leading `na` columns of the R/Z/P/Q panels; `map[j]` names the
-// original column slot j is solving, and retirement swap-removes the slot
-// (column data moves verbatim, so per-column arithmetic — and therefore
-// every iterate — is solve()'s to the bit).  Every kernel runs at width
-// `na`, falling through the compile-time k = 4/8/16 dispatch tiers as the
-// set shrinks.  With 0 < wave < k the same loop becomes the ragged-batch
-// scheduler: at most `wave` columns are in flight, and pending columns
-// are initialized into freed slots at iteration boundaries.
-template <class VT>
-void CgSolver<VT>::solve_many_compact(const VT* b, std::ptrdiff_t ldb, VT* x,
-                                      std::ptrdiff_t ldx, int k, int wave,
-                                      std::vector<SolveResult>& res) {
   using S = acc_t<VT>;
   const int W = (wave > 0 && wave < k) ? wave : k;  // dispatch width
   const std::size_t ww = static_cast<std::size_t>(W);
@@ -331,165 +319,7 @@ void CgSolver<VT>::solve_many_compact(const VT* b, std::ptrdiff_t ldb, VT* x,
     kx_.axpby_cols(ones.data(), Z.data(), pld, beta.data(), P.data(), pld, na, n_,
                      nullptr, lay, lay);
   }
-}
-
-// Masked lockstep batched CG — the PR 3 reference path (cfg.compact =
-// false).  Each step performs the sequential solve()'s operations per
-// column — the same blas1 reductions, the same element-local updates via
-// the masked column kernels, and the matrix/preconditioner sweeps shared
-// across the batch (bit-identical per column to k separate apply() calls
-// by the operators' apply_many contract).  A column leaves the active set
-// exactly where solve() would have returned, and is never touched again;
-// the panels keep full width k throughout.
-template <class VT>
-void CgSolver<VT>::solve_many_masked(const VT* b, std::ptrdiff_t ldb, VT* x,
-                                     std::ptrdiff_t ldx, int k,
-                                     std::vector<SolveResult>& res) {
-  using S = acc_t<VT>;
-  const std::size_t kk = static_cast<std::size_t>(k);
-  SolverWorkspace& w = wsref();
-  auto R = w.get<VT>(key_ + ".bat.r", kk * n_);
-  auto Z = w.get<VT>(key_ + ".bat.z", kk * n_);
-  auto P = w.get<VT>(key_ + ".bat.p", kk * n_);
-  auto Q = w.get<VT>(key_ + ".bat.q", kk * n_);
-  auto rz = w.get<S>(key_ + ".bat.rz", kk);
-  auto alpha = w.get<S>(key_ + ".bat.alpha", kk);
-  auto nalpha = w.get<S>(key_ + ".bat.nalpha", kk);
-  auto beta = w.get<S>(key_ + ".bat.beta", kk);
-  auto ones = w.get<S>(key_ + ".bat.ones", kk);
-  auto red = w.get<S>(key_ + ".bat.red", kk);  // dot/nrm2 results per column
-  auto target = w.get<double>(key_ + ".bat.target", kk);
-  auto bref = w.get<double>(key_ + ".bat.bref", kk);
-  auto act = w.get<unsigned char>(key_ + ".bat.act", kk);
-  auto best = w.get<double>(key_ + ".bat.best", kk);  // stagnation guard state
-  auto stall = w.get<int>(key_ + ".bat.stall", kk);
-  const std::ptrdiff_t nld = static_cast<std::ptrdiff_t>(n_);
-
-  auto col = [&](std::span<VT> blk, int c) {
-    return std::span<VT>(blk.data() + static_cast<std::size_t>(c) * n_, n_);
-  };
-  auto ccol = [&](std::span<VT> blk, int c) {
-    return std::span<const VT>(blk.data() + static_cast<std::size_t>(c) * n_, n_);
-  };
-
-  // The reductions below (nrm2_cols / dot_cols) reproduce the sequential
-  // solve()'s blas1 reductions bit-for-bit in their single-threaded form;
-  // see blas_block.hpp.
-  int nactive = 0;
-  a_->residual_many(b, ldb, x, ldx, R.data(), nld, k);
-  kx_.nrm2_cols(b, ldb, k, n_, beta.data());  // ‖b_c‖ (beta reused as scratch)
-  kx_.nrm2_cols(R.data(), nld, k, n_, red.data());
-  for (int c = 0; c < k; ++c) {
-    ones[c] = S{1};
-    const double bnorm = static_cast<double>(beta[c]);
-    bref[c] = bnorm > 0.0 ? bnorm : 1.0;
-    target[c] = cfg_.rtol * bref[c];
-    const double rnorm = static_cast<double>(red[c]);
-    if (cfg_.record_history) res[c].history.push_back(rnorm / bref[c]);
-    if (!std::isfinite(bnorm) || !std::isfinite(rnorm)) {
-      res[c].fail(SolveStatus::kNonFinite, !std::isfinite(bnorm) ? "b" : "rnorm");
-      act[c] = 0;
-      continue;
-    }
-    if (rnorm <= target[c]) {
-      res[c].mark_converged();
-      act[c] = 0;
-      continue;
-    }
-    best[c] = rnorm;
-    stall[c] = 0;
-    act[c] = 1;
-    ++nactive;
-  }
-  if (nactive == 0) return;
-
-  auto precondition = [&]() {  // Z_c = M⁻¹ R_c for the active columns
-    if (nactive == k) {
-      m_->apply_many(R.data(), nld, Z.data(), nld, k);
-    } else {
-      for (int c = 0; c < k; ++c)
-        if (act[c]) m_->apply(ccol(R, c), col(Z, c));
-    }
-  };
-
-  precondition();
-  for (int c = 0; c < k; ++c)
-    if (act[c]) kx_.copy(ccol(Z, c), col(P, c));
-  kx_.dot_cols(R.data(), nld, Z.data(), nld, k, n_, rz.data(), act.data());
-
-  for (int it = 1; it <= cfg_.max_iters && nactive > 0; ++it) {
-    if (nactive == k) {
-      a_->apply_many(P.data(), nld, Q.data(), nld, k);
-    } else {
-      for (int c = 0; c < k; ++c)
-        if (act[c]) a_->apply(ccol(P, c), col(Q, c));
-    }
-    kx_.dot_cols(P.data(), nld, Q.data(), nld, k, n_, red.data(), act.data());
-    for (int c = 0; c < k; ++c) {
-      if (!act[c]) continue;
-      const S pq = red[c];
-      if (!(std::abs(static_cast<double>(pq)) > 0.0) ||
-          !std::isfinite(static_cast<double>(pq))) {
-        res[c].iterations = it;
-        res[c].fail(std::isfinite(static_cast<double>(pq)) ? SolveStatus::kBreakdown
-                                                           : SolveStatus::kNonFinite,
-                    "pivot");
-        act[c] = 0;  // breakdown: freeze exactly as solve() returns
-        --nactive;
-        continue;
-      }
-      alpha[c] = rz[c] / pq;
-      nalpha[c] = -alpha[c];
-    }
-    // x_c += α_c p_c, r_c −= α_c q_c (frozen columns masked out).
-    kx_.axpy_cols(alpha.data(), P.data(), nld, x, ldx, k, n_, act.data());
-    kx_.axpy_cols(nalpha.data(), Q.data(), nld, R.data(), nld, k, n_, act.data());
-    kx_.nrm2_cols(R.data(), nld, k, n_, red.data(), act.data());
-    for (int c = 0; c < k; ++c) {
-      if (!act[c]) continue;
-      const double rnorm = static_cast<double>(red[c]);
-      if (cfg_.record_history) res[c].history.push_back(rnorm / bref[c]);
-      res[c].iterations = it;
-      if (!std::isfinite(rnorm)) {
-        res[c].fail(SolveStatus::kNonFinite, "rnorm");
-        act[c] = 0;
-        --nactive;
-        continue;
-      }
-      if (rnorm <= target[c]) {
-        res[c].mark_converged();
-        act[c] = 0;
-        --nactive;
-        continue;
-      }
-      if (cfg_.stagnate_window > 0) {
-        if (rnorm < 0.99 * best[c]) {
-          best[c] = rnorm;
-          stall[c] = 0;
-        } else if (++stall[c] >= cfg_.stagnate_window) {
-          res[c].fail(SolveStatus::kStagnated, "rnorm");
-          act[c] = 0;
-          --nactive;
-        }
-      }
-    }
-    if (nactive == 0) break;
-
-    // The trailing preconditioner apply and direction update run even on
-    // the final iteration, exactly as solve()'s loop body does — keeps
-    // invocation counts (and any stateful M) in step with k sequential
-    // solves.
-    precondition();
-    kx_.dot_cols(R.data(), nld, Z.data(), nld, k, n_, red.data(), act.data());
-    for (int c = 0; c < k; ++c) {
-      if (!act[c]) continue;
-      beta[c] = red[c] / rz[c];
-      rz[c] = red[c];
-    }
-    // p_c = z_c + β_c p_c.
-    kx_.axpby_cols(ones.data(), Z.data(), nld, beta.data(), P.data(), nld, k, n_,
-                     act.data());
-  }
+  return res;
 }
 
 template class CgSolver<double>;

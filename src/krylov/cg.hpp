@@ -21,7 +21,7 @@
 // otherwise.  Columns converge (or break down) independently and are
 // frozen the moment they finish.
 //
-// Active-set compaction (default): when a column retires, the survivors
+// Active-set compaction: when a column retires, the survivors
 // are compacted into the leading columns of the interleaved R/Z/P/Q
 // panels (an active→original index map scatters the x updates back to
 // caller positions), so every SpMM, preconditioner sweep, and column
@@ -70,12 +70,7 @@ class CgSolver {
     /// default — the residual-NORM check already catches NaN for free;
     /// this is the belt-and-braces mode the guard-overhead bench pins.
     bool guard_panels = false;
-    /// Batched scheduling: true (default) = active-set compaction (kernels
-    /// run at the current active width); false = the PR 3 masked-lockstep
-    /// reference path (full-width kernels, per-column apply fallback),
-    /// kept for A/B benching.  Iterates are bit-identical either way.
-    bool compact = true;
-    /// Storage layout of the compact scheduler's survivor panels (see
+    /// Storage layout of the batched solver's survivor panels (see
     /// base/panel.hpp): kColMajor interleaves the live columns so every
     /// width-na kernel streams unit-stride over exactly the active set.
     /// Unset = the workspace's panel_layout() default.  Per-column
@@ -123,18 +118,11 @@ class CgSolver {
   /// b + c·ldb / x + c·ldx).  Per column bit-identical to solve().
   /// `wave` > 0 caps the dispatch width: the batch runs as waves of at most
   /// `wave` columns, refilled from the pending queue as columns retire
-  /// (0 = whole batch at once).  Waves require the compacting scheduler;
-  /// the masked reference path (Config::compact = false) is always full
-  /// lockstep and ignores `wave`.
+  /// (0 = whole batch at once).
   std::vector<SolveResult> solve_many(const VT* b, std::ptrdiff_t ldb, VT* x,
                                       std::ptrdiff_t ldx, int k, int wave = 0);
 
  private:
-  void solve_many_masked(const VT* b, std::ptrdiff_t ldb, VT* x, std::ptrdiff_t ldx,
-                         int k, std::vector<SolveResult>& res);
-  void solve_many_compact(const VT* b, std::ptrdiff_t ldb, VT* x, std::ptrdiff_t ldx,
-                          int k, int wave, std::vector<SolveResult>& res);
-
   [[nodiscard]] SolverWorkspace& wsref() { return ws_ != nullptr ? *ws_ : own_; }
 
   Operator<VT>* a_ = nullptr;

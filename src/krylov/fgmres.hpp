@@ -68,12 +68,7 @@ class FgmresSolver final : public Preconditioner<VT> {
     /// as soon as the Givens residual estimate has dropped below
     /// inner_rtol · ‖v‖ instead of always running all m iterations.
     double inner_rtol = 0.0;
-    /// Batched run_many scheduling: true (default) = active-set compaction
-    /// (the preconditioner/operator sweeps run at the current active width
-    /// through a gather/scatter layer); false = the PR 3 masked-lockstep
-    /// reference path.  Iterates are bit-identical either way.
-    bool compact = true;
-    /// Layout of the compact path's gather panels (see base/panel.hpp):
+    /// Layout of run_many's gather panels (see base/panel.hpp):
     /// kColMajor interleaves the gathered v_j/z_j columns so a ragged
     /// survivor set streams unit-stride through the preconditioner and
     /// operator sweeps.  Unset = the workspace default.  Gather/scatter
@@ -227,14 +222,13 @@ class FgmresSolver final : public Preconditioner<VT> {
   /// state's invocation order).  A column that converges or breaks down is
   /// frozen and costs nothing further.  No iteration log is recorded.
   ///
-  /// With Config::compact (the default) the survivor set is compacted:
-  /// once a column freezes, the per-step preconditioner and operator
-  /// sweeps run at the CURRENT active width over gather panels (active
-  /// columns' v_j gathered to contiguous slots, z_j scattered back into
-  /// their per-column basis blocks), re-dispatching through the
-  /// compile-time k = 4/8/16 kernels as the set shrinks.  The basis
-  /// blocks, Hessenberg data, and every per-column operation are untouched
-  /// by compaction, so iterates match run() (and the masked path) to the
+  /// The survivor set is compacted: once a column freezes, the per-step
+  /// preconditioner and operator sweeps run at the CURRENT active width
+  /// over gather panels (active columns' v_j gathered to contiguous slots,
+  /// z_j scattered back into their per-column basis blocks),
+  /// re-dispatching through the compile-time k = 4/8/16 kernels as the
+  /// set shrinks.  The basis blocks, Hessenberg data, and every per-column
+  /// operation are untouched by compaction, so iterates match run() to the
   /// bit.
   std::vector<RunStats> run_many(const VT* b, std::ptrdiff_t ldb, VT* x,
                                  std::ptrdiff_t ldx, int k, double abs_target,
@@ -256,11 +250,10 @@ class FgmresSolver final : public Preconditioner<VT> {
     auto YB = w.get<S>(key_ + ".bat.y", kk * mm);
     auto HC = w.get<S>(key_ + ".bat.hcol", kk * (mm + 1));
     auto beta = w.get<S>(key_ + ".bat.beta", kk);
-    auto act = w.get<unsigned char>(key_ + ".bat.act", kk);
-    // Compaction state: gather panels for v_j / z_j and the
-    // active→original map (only touched on the compact path).
-    auto VS = w.get<VT>(key_ + ".bat.vs", cfg_.compact ? kk * n_ : 0);
-    auto ZS = w.get<VT>(key_ + ".bat.zs", cfg_.compact ? kk * n_ : 0);
+    // Compaction state: gather panels for v_j / z_j and the sorted
+    // active→original map.
+    auto VS = w.get<VT>(key_ + ".bat.vs", kk * n_);
+    auto ZS = w.get<VT>(key_ + ".bat.zs", kk * n_);
     auto map = w.get<int>(key_ + ".bat.map", kk);
     // Gather-panel layout (base/panel.hpp): interleaved gathers stream
     // unit-stride through the ragged-set sweeps.  Exact copies in/out —
@@ -278,8 +271,8 @@ class FgmresSolver final : public Preconditioner<VT> {
       return std::span<VT>(ZB.data() + static_cast<std::size_t>(c) * zstr +
                                static_cast<std::size_t>(j) * n_, n_);
     };
-    auto wc = [&](int c) {
-      return std::span<VT>(WB.data() + static_cast<std::size_t>(c) * n_, n_);
+    auto wc = [&](int slot) {
+      return std::span<VT>(WB.data() + static_cast<std::size_t>(slot) * n_, n_);
     };
 
     // r0 per column (one shared A sweep when x is nonzero).
@@ -298,16 +291,13 @@ class FgmresSolver final : public Preconditioner<VT> {
         stats[c].residual_est = bd;
         stats[c].non_finite = !std::isfinite(bd);
         stats[c].reached_target = bd <= abs_target;
-        act[c] = 0;
         continue;
       }
       this->kern_table().scal(S{1} / beta[c], vc(c, 0));
       S* g = GB.data() + static_cast<std::size_t>(c) * (mm + 1);
       std::fill(g, g + mm + 1, S{0});
       g[0] = beta[c];
-      act[c] = 1;
-      if (cfg_.compact) map[nactive] = c;
-      ++nactive;
+      map[nactive++] = c;
     }
 
     const int m = cfg_.m;
@@ -318,77 +308,57 @@ class FgmresSolver final : public Preconditioner<VT> {
       // under FIFO wave retirement — the applies run DIRECTLY on the basis
       // blocks at their natural stride, zero copies.  A ragged survivor
       // set gathers the active v_j into contiguous slots, applies at width
-      // nactive, and scatters z_j back into the per-column Z blocks (the
-      // masked path instead falls back to per-column applies).  Either way
-      // each column's apply is bit-identical to run()'s, and M/A see
-      // exactly one application per live column.
-      bool direct = !cfg_.compact;  // compact: set per step below
-      if (cfg_.compact) {
-        const int c0 = map[0];
-        direct = map[nactive - 1] - c0 == nactive - 1;
-        if (direct) {
-          m_->apply_many(VB.data() + static_cast<std::size_t>(c0) * vstr +
-                             static_cast<std::size_t>(j) * n_,
-                         static_cast<std::ptrdiff_t>(vstr),
-                         ZB.data() + static_cast<std::size_t>(c0) * zstr +
-                             static_cast<std::size_t>(j) * n_,
-                         static_cast<std::ptrdiff_t>(zstr), nactive);
-          a_->apply_many(ZB.data() + static_cast<std::size_t>(c0) * zstr +
-                             static_cast<std::size_t>(j) * n_,
-                         static_cast<std::ptrdiff_t>(zstr),
-                         WB.data() + static_cast<std::size_t>(c0) * n_,
-                         static_cast<std::ptrdiff_t>(n_), nactive);
-        } else if (ilv) {
-          // Interleaved gather: active v_j columns side by side, so the M
-          // and A sweeps stream unit-stride across the survivor set; the
-          // w output stays row-major (CGS consumes contiguous wc spans).
-          for (int i = 0; i < nactive; ++i)
-            panel_copy_col(vc(map[i], j).data(), static_cast<std::ptrdiff_t>(n_),
-                           PanelLayout::kRowMajor, 0, VS.data(), gld, lay, i,
-                           static_cast<std::ptrdiff_t>(n_));
-          m_->apply_many_layout(VS.data(), gld, ZS.data(), gld, nactive, lay);
-          a_->apply_many_layout(ZS.data(), gld, WB.data(),
-                                static_cast<std::ptrdiff_t>(n_), nactive, lay,
-                                PanelLayout::kRowMajor);
-          for (int i = 0; i < nactive; ++i)
-            panel_copy_col(ZS.data(), gld, lay, i, zc(map[i], j).data(),
-                           static_cast<std::ptrdiff_t>(n_), PanelLayout::kRowMajor, 0,
-                           static_cast<std::ptrdiff_t>(n_));
-        } else {
-          for (int i = 0; i < nactive; ++i)
-            this->kern_table().copy(std::span<const VT>(vc(map[i], j)),
-                       std::span<VT>(VS.data() + static_cast<std::size_t>(i) * n_, n_));
-          m_->apply_many(VS.data(), static_cast<std::ptrdiff_t>(n_), ZS.data(),
-                         static_cast<std::ptrdiff_t>(n_), nactive);
-          a_->apply_many(ZS.data(), static_cast<std::ptrdiff_t>(n_), WB.data(),
-                         static_cast<std::ptrdiff_t>(n_), nactive);
-          for (int i = 0; i < nactive; ++i)
-            this->kern_table().copy(std::span<const VT>(ZS.data() + static_cast<std::size_t>(i) * n_, n_),
-                       zc(map[i], j));
-        }
-      } else if (nactive == k) {
-        m_->apply_many(VB.data() + static_cast<std::size_t>(j) * n_,
+      // nactive, and scatters z_j back into the per-column Z blocks.
+      // Either way each column's apply is bit-identical to run()'s, and
+      // M/A see exactly one application per live column.
+      const int c0 = map[0];
+      const bool direct = map[nactive - 1] - c0 == nactive - 1;
+      if (direct) {
+        m_->apply_many(VB.data() + static_cast<std::size_t>(c0) * vstr +
+                           static_cast<std::size_t>(j) * n_,
                        static_cast<std::ptrdiff_t>(vstr),
-                       ZB.data() + static_cast<std::size_t>(j) * n_,
-                       static_cast<std::ptrdiff_t>(zstr), k);
-        a_->apply_many(ZB.data() + static_cast<std::size_t>(j) * n_,
-                       static_cast<std::ptrdiff_t>(zstr), WB.data(),
-                       static_cast<std::ptrdiff_t>(n_), k);
+                       ZB.data() + static_cast<std::size_t>(c0) * zstr +
+                           static_cast<std::size_t>(j) * n_,
+                       static_cast<std::ptrdiff_t>(zstr), nactive);
+        a_->apply_many(ZB.data() + static_cast<std::size_t>(c0) * zstr +
+                           static_cast<std::size_t>(j) * n_,
+                       static_cast<std::ptrdiff_t>(zstr),
+                       WB.data() + static_cast<std::size_t>(c0) * n_,
+                       static_cast<std::ptrdiff_t>(n_), nactive);
+      } else if (ilv) {
+        // Interleaved gather: active v_j columns side by side, so the M
+        // and A sweeps stream unit-stride across the survivor set; the
+        // w output stays row-major (CGS consumes contiguous wc spans).
+        for (int i = 0; i < nactive; ++i)
+          panel_copy_col(vc(map[i], j).data(), static_cast<std::ptrdiff_t>(n_),
+                         PanelLayout::kRowMajor, 0, VS.data(), gld, lay, i,
+                         static_cast<std::ptrdiff_t>(n_));
+        m_->apply_many_layout(VS.data(), gld, ZS.data(), gld, nactive, lay);
+        a_->apply_many_layout(ZS.data(), gld, WB.data(),
+                              static_cast<std::ptrdiff_t>(n_), nactive, lay,
+                              PanelLayout::kRowMajor);
+        for (int i = 0; i < nactive; ++i)
+          panel_copy_col(ZS.data(), gld, lay, i, zc(map[i], j).data(),
+                         static_cast<std::ptrdiff_t>(n_), PanelLayout::kRowMajor, 0,
+                         static_cast<std::ptrdiff_t>(n_));
       } else {
-        for (int c = 0; c < k; ++c) {
-          if (!act[c]) continue;
-          m_->apply(std::span<const VT>(vc(c, j)), zc(c, j));
-          a_->apply(std::span<const VT>(zc(c, j)), wc(c));
-        }
+        for (int i = 0; i < nactive; ++i)
+          this->kern_table().copy(std::span<const VT>(vc(map[i], j)),
+                     std::span<VT>(VS.data() + static_cast<std::size_t>(i) * n_, n_));
+        m_->apply_many(VS.data(), static_cast<std::ptrdiff_t>(n_), ZS.data(),
+                       static_cast<std::ptrdiff_t>(n_), nactive);
+        a_->apply_many(ZS.data(), static_cast<std::ptrdiff_t>(n_), WB.data(),
+                       static_cast<std::ptrdiff_t>(n_), nactive);
+        for (int i = 0; i < nactive; ++i)
+          this->kern_table().copy(std::span<const VT>(ZS.data() + static_cast<std::size_t>(i) * n_, n_),
+                     zc(map[i], j));
       }
       // CGS + Givens per live column.  In direct mode column c's w vector
       // sits at its original position c; in gather mode slot i's w sits at
       // gather position i — `slot` abstracts the two.
-      const int loop_n = cfg_.compact ? nactive : k;
       int nkeep = 0;
-      for (int i = 0; i < loop_n; ++i) {
-        const int c = cfg_.compact ? map[i] : i;
-        if (!act[c]) continue;
+      for (int i = 0; i < nactive; ++i) {
+        const int c = map[i];
         const int slot = direct ? c : i;
         S* hcol = HC.data() + static_cast<std::size_t>(c) * (mm + 1);
         S* g = GB.data() + static_cast<std::size_t>(c) * (mm + 1);
@@ -411,14 +381,12 @@ class FgmresSolver final : public Preconditioner<VT> {
           stats[c].reached_target = res <= abs_target || breakdown;
           stats[c].breakdown = breakdown && std::isfinite(static_cast<double>(hj1));
           stats[c].non_finite = breakdown && !std::isfinite(static_cast<double>(hj1));
-          act[c] = 0;
-          if (!cfg_.compact) --nactive;
           continue;
         }
         this->kern_table().scal_copy(S{1} / hj1, std::span<const VT>(wc(slot)), vc(c, j + 1));
-        if (cfg_.compact) map[nkeep++] = c;  // stable survivor compaction
+        map[nkeep++] = c;  // stable survivor compaction
       }
-      if (cfg_.compact) nactive = nkeep;
+      nactive = nkeep;
     }
 
     // Per-column back substitution and solution update x_c += Z_c y_c.

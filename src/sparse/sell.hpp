@@ -171,9 +171,10 @@ inline void slice_sweep_simd(const MT* __restrict vals, const index_t* __restric
 
 }  // namespace sell_detail
 
-/// y = A x over SELL-C, row-wise (the pre-SIMD reference kernel: each lane
-/// walks its row with stride-C reads).  Kept for the perf-tracking bench;
-/// use spmv() for real work.
+/// y = A x over SELL-C, row-wise (each lane walks its row with stride-C
+/// reads).  The only SELL SpMV for chunk > kSellSimdMaxChunk: spmv() falls
+/// back to it there, since the SIMD kernel's per-slice lane accumulators
+/// are sized for at most kSellSimdMaxChunk lanes.
 template <class MT, class XT, class YT, class Acc = promote_t<MT, XT>>
 void spmv_rowwise(const SellMatrix<MT>& a, std::span<const XT> x, std::span<YT> y) {
   const index_t ns = a.nslices();

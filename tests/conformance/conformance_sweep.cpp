@@ -198,7 +198,7 @@ std::vector<Cell> run_grid(const std::vector<std::string>& matrices, int scale,
 // ------------------------------------------------------- the comparison
 
 /// Effective iteration cap for a cell: BiCGStab runs at max_iters/2 (two
-/// preconditioner calls per iteration, see run_bicgstab) and the nested
+/// preconditioner calls per iteration, see the bicgstab engine) and the nested
 /// F3R counts OUTER iterations capped by (max_restarts+1)·m1 = 400.
 int cell_cap(const std::string& id, int max_iters) {
   if (id.find("BiCGStab") != std::string::npos) return max_iters / 2;

@@ -3,7 +3,9 @@
 // primary preconditioners driven through the full nested stack.
 #include <gtest/gtest.h>
 
-#include "core/runner.hpp"
+#include "core/f3r.hpp"
+#include "core/registry.hpp"
+#include "core/session.hpp"
 #include "krylov/fgmres.hpp"
 #include "precond/neumann.hpp"
 #include "precond/ssor.hpp"
@@ -14,12 +16,12 @@ namespace {
 
 TEST(Extensions, ChebyshevInnerLevelSolves) {
   auto p = prepare_standin("hpcg_4_4_4", 1);
-  auto m = make_primary(p, PrecondKind::BlockJacobiIluIc, 8);
+  auto m = registry().make_precond(parse_precond_spec("bj;nblocks=8"), p);
   NestedConfig cfg = f3r_config(Prec::FP16);
   cfg.name = "F2C-R";
   cfg.levels[2].kind = SolverKind::Chebyshev;  // replace F^4 by C^4
   cfg.levels[2].eig_ratio = 20.0;
-  const auto res = run_nested(p, m, cfg, f3r_termination(1e-8));
+  const auto res = Session(borrow_problem(p), cfg, f3r_termination(1e-8), m).solve();
   EXPECT_TRUE(res.converged);
   EXPECT_LT(res.final_relres, 1e-8);
   EXPECT_EQ(tuple_notation(cfg), "(F^100, F^8, C^4, R^2, M)");
@@ -30,14 +32,15 @@ TEST(Extensions, DynamicInnerTerminationSavesWork) {
   // must still converge, with no more primary applications than the fixed
   // version (usually fewer on easy problems).
   auto p = prepare_standin("hpcg_4_4_4", 1);
-  auto m = make_primary(p, PrecondKind::BlockJacobiIluIc, 8);
+  auto m = registry().make_precond(parse_precond_spec("bj;nblocks=8"), p);
 
-  const auto fixed = run_nested(p, m, f3r_config(Prec::FP16), f3r_termination(1e-8));
+  const auto fixed = Session(borrow_problem(p), f3r_config(Prec::FP16), f3r_termination(1e-8),
+                             m).solve();
   NestedConfig cfg = f3r_config(Prec::FP16);
   cfg.name = "fp16-F3R-dyn";
   cfg.levels[1].inner_rtol = 0.05;
   cfg.levels[2].inner_rtol = 0.05;
-  const auto dyn = run_nested(p, m, cfg, f3r_termination(1e-8));
+  const auto dyn = Session(borrow_problem(p), cfg, f3r_termination(1e-8), m).solve();
 
   ASSERT_TRUE(fixed.converged);
   ASSERT_TRUE(dyn.converged);
@@ -61,11 +64,11 @@ TEST(Extensions, InnerRtolStopsEarlyDirectly) {
 
 TEST(Extensions, IterativeRefinementBaselineConverges) {
   auto p = prepare_standin("hpcg_4_4_4", 1);
-  auto m = make_primary(p, PrecondKind::BlockJacobiIluIc, 8);
-  FlatSolverCaps caps;
-  caps.max_iters = 4000;
+  auto m = registry().make_precond(parse_precond_spec("bj;nblocks=8"), p);
   for (Prec prec : {Prec::FP32, Prec::FP16}) {
-    const auto res = run_ir_gmres(p, *m, prec, 8, caps);
+    SolverSpec spec = parse_solver_spec("ir-gmres8;max-iters=4000");
+    spec.prec = prec;
+    const auto res = Session(borrow_problem(p), spec, m).solve();
     EXPECT_TRUE(res.converged) << prec_name(prec);
     EXPECT_LT(res.final_relres, 1e-8) << prec_name(prec);
     EXPECT_EQ(res.solver, std::string(prec_name(prec)) + "-IR-GMRES(8)");
@@ -75,10 +78,10 @@ TEST(Extensions, IterativeRefinementBaselineConverges) {
 
 TEST(Extensions, IrHistoryIsMonotoneUntilConvergence) {
   auto p = prepare_standin("hpcg_4_4_4", 1);
-  auto m = make_primary(p, PrecondKind::BlockJacobiIluIc, 8);
-  FlatSolverCaps caps;
-  caps.max_iters = 4000;
-  const auto res = run_ir_gmres(p, *m, Prec::FP32, 8, caps);
+  auto m = registry().make_precond(parse_precond_spec("bj;nblocks=8"), p);
+  const auto res =
+      Session(borrow_problem(p), parse_solver_spec("ir-gmres8@fp32;max-iters=4000"), m)
+          .solve();
   ASSERT_TRUE(res.converged);
   ASSERT_GE(res.history.size(), 2u);
   for (std::size_t i = 1; i < res.history.size(); ++i)
@@ -89,8 +92,8 @@ TEST(Extensions, SsorAsPrimaryOfF3r) {
   auto p = prepare_standin("hpcg_4_4_4", 1);
   auto ssor = std::make_shared<SsorPrecond>(p.a->csr_fp64(),
                                             SsorPrecond::Config{.nblocks = 8, .omega = 1.0});
-  const auto res = run_nested(p, std::static_pointer_cast<PrimaryPrecond>(ssor),
-                              f3r_config(Prec::FP16), f3r_termination(1e-8));
+  const auto res = Session(borrow_problem(p), f3r_config(Prec::FP16), f3r_termination(1e-8),
+                           std::static_pointer_cast<PrimaryPrecond>(ssor)).solve();
   EXPECT_TRUE(res.converged);
 }
 
@@ -98,8 +101,8 @@ TEST(Extensions, NeumannAsPrimaryOfF3r) {
   auto p = prepare_standin("hpcg_4_4_4", 1);
   auto nm = std::make_shared<NeumannPrecond>(p.a->csr_fp64(),
                                              NeumannPrecond::Config{.degree = 2});
-  const auto res = run_nested(p, std::static_pointer_cast<PrimaryPrecond>(nm),
-                              f3r_config(Prec::FP16), f3r_termination(1e-8));
+  const auto res = Session(borrow_problem(p), f3r_config(Prec::FP16), f3r_termination(1e-8),
+                           std::static_pointer_cast<PrimaryPrecond>(nm)).solve();
   EXPECT_TRUE(res.converged);
 }
 

@@ -5,7 +5,8 @@
 #include "base/rng.hpp"
 #include "core/f3r.hpp"
 #include "core/nested_builder.hpp"
-#include "core/runner.hpp"
+#include "core/registry.hpp"
+#include "core/session.hpp"
 #include "sparse/gen/laplace.hpp"
 #include "sparse/gen/stencil.hpp"
 #include "sparse/scaling.hpp"
@@ -112,8 +113,9 @@ class NestedSolveAllPrecisions : public ::testing::TestWithParam<Prec> {};
 TEST_P(NestedSolveAllPrecisions, F3rSolvesSmallLaplacian) {
   auto a = gen::laplace2d(16, 16);
   auto p = prepare_problem("lap", std::move(a), true, 1.0, 1.0, 11);
-  auto m = make_primary(p, PrecondKind::BlockJacobiIluIc, 2);
-  const auto res = run_nested(p, m, f3r_config(GetParam()), f3r_termination(1e-8));
+  auto m = registry().make_precond(parse_precond_spec("bj;nblocks=2"), p);
+  const auto res = Session(borrow_problem(p), f3r_config(GetParam()), f3r_termination(1e-8),
+                           m).solve();
   EXPECT_TRUE(res.converged) << prec_name(GetParam());
   EXPECT_LT(res.final_relres, 1e-8);
   EXPECT_GT(res.precond_invocations, 0u);
@@ -128,15 +130,16 @@ INSTANTIATE_TEST_SUITE_P(Precisions, NestedSolveAllPrecisions,
 TEST(NestedSolver, SolutionMatchesDirectKrylov) {
   auto a = gen::hpcg(3, 3, 3);
   auto p = prepare_problem("hpcg", std::move(a), true, 1.0, 1.0, 3);
-  auto m = make_primary(p, PrecondKind::BlockJacobiIluIc, 2);
-  const auto res = run_nested(p, m, f3r_config(Prec::FP16), f3r_termination(1e-10));
+  auto m = registry().make_precond(parse_precond_spec("bj;nblocks=2"), p);
+  const auto res = Session(borrow_problem(p), f3r_config(Prec::FP16), f3r_termination(1e-10),
+                           m).solve();
   EXPECT_TRUE(res.converged);
   EXPECT_LT(res.final_relres, 1e-10);  // true fp64 residual, not an estimate
 }
 
 TEST(NestedSolver, RichardsonWeightProbes) {
   auto p = prepare_problem("lap", gen::laplace2d(12, 12), true, 1.0, 1.0, 4);
-  auto m = make_primary(p, PrecondKind::BlockJacobiIluIc, 1);
+  auto m = registry().make_precond(parse_precond_spec("bj;nblocks=1"), p);
   NestedSolver s(p.a, m, f3r_config(Prec::FP16));
   const auto w0 = s.richardson_weights();
   ASSERT_EQ(w0.size(), 2u);  // m4 = 2 weights
@@ -154,7 +157,7 @@ TEST(NestedSolver, RichardsonWeightProbes) {
 
 TEST(NestedSolver, RestartsCountedAndCapped) {
   auto p = prepare_problem("lap", gen::laplace2d(12, 12), true, 1.0, 1.0, 5);
-  auto m = make_primary(p, PrecondKind::BlockJacobiIluIc, 1);
+  auto m = registry().make_precond(parse_precond_spec("bj;nblocks=1"), p);
   // Tiny outer dimension + impossible tolerance → exhausts all restarts.
   F3rParams prm;
   prm.m1 = 2;
@@ -175,7 +178,7 @@ TEST(NestedSolver, RestartsCountedAndCapped) {
 
 TEST(NestedSolver, HistoryRecordsOuterEstimates) {
   auto p = prepare_problem("lap", gen::laplace2d(12, 12), true, 1.0, 1.0, 6);
-  auto m = make_primary(p, PrecondKind::BlockJacobiIluIc, 2);
+  auto m = registry().make_precond(parse_precond_spec("bj;nblocks=2"), p);
   NestedSolver s(p.a, m, f3r_config(Prec::FP32));
   Termination t = f3r_termination(1e-8);
   std::vector<double> x(p.b.size(), 0.0);
@@ -191,14 +194,14 @@ TEST(NestedSolver, HistoryRecordsOuterEstimates) {
 TEST(NestedSolver, MismatchedPrecondRejected) {
   auto p = prepare_problem("lap", gen::laplace2d(8, 8), true, 1.0, 1.0, 7);
   auto p2 = prepare_problem("lap2", gen::laplace2d(4, 4), true, 1.0, 1.0, 7);
-  auto m_small = make_primary(p2, PrecondKind::BlockJacobiIluIc, 1);
+  auto m_small = registry().make_precond(parse_precond_spec("bj;nblocks=1"), p2);
   EXPECT_THROW(NestedSolver(p.a, m_small, f3r_config(Prec::FP64)), std::invalid_argument);
 }
 
 TEST(NestedSolver, TwoLevelConfigWorks) {
   // Minimal nesting: (F^50, R^2, M) — Richardson directly under the outer.
   auto p = prepare_problem("lap", gen::laplace2d(12, 12), true, 1.0, 1.0, 8);
-  auto m = make_primary(p, PrecondKind::BlockJacobiIluIc, 2);
+  auto m = registry().make_precond(parse_precond_spec("bj;nblocks=2"), p);
   NestedConfig cfg;
   cfg.name = "F-R";
   LevelSpec outer;
@@ -209,20 +212,20 @@ TEST(NestedSolver, TwoLevelConfigWorks) {
   rich.mat = Prec::FP64;
   rich.vec = Prec::FP64;
   cfg.levels = {outer, rich};
-  const auto res = run_nested(p, m, cfg, f3r_termination(1e-8));
+  const auto res = Session(borrow_problem(p), cfg, f3r_termination(1e-8), m).solve();
   EXPECT_TRUE(res.converged);
 }
 
 TEST(NestedSolver, SingleLevelIsPlainFgmres) {
   // (F^100, M): degenerate nesting = preconditioned FGMRES.
   auto p = prepare_problem("lap", gen::laplace2d(10, 10), true, 1.0, 1.0, 9);
-  auto m = make_primary(p, PrecondKind::BlockJacobiIluIc, 2);
+  auto m = registry().make_precond(parse_precond_spec("bj;nblocks=2"), p);
   NestedConfig cfg;
   cfg.name = "flat";
   LevelSpec outer;
   outer.m = 100;
   cfg.levels = {outer};
-  const auto res = run_nested(p, m, cfg, f3r_termination(1e-8));
+  const auto res = Session(borrow_problem(p), cfg, f3r_termination(1e-8), m).solve();
   EXPECT_TRUE(res.converged);
   EXPECT_EQ(res.precond_invocations, static_cast<std::uint64_t>(res.iterations));
 }
@@ -230,8 +233,9 @@ TEST(NestedSolver, SingleLevelIsPlainFgmres) {
 TEST(NestedSolver, GpuSimSellConfiguration) {
   // SELL storage + SD-AINV: the Figure 2 configuration.
   auto p = prepare_problem("lap", gen::laplace2d(12, 12), true, 1.0, 1.0, 10, /*use_sell=*/true);
-  auto m = make_primary(p, PrecondKind::SdAinv);
-  const auto res = run_nested(p, m, f3r_config(Prec::FP16), f3r_termination(1e-8));
+  auto m = registry().make_precond(parse_precond_spec("sd-ainv"), p);
+  const auto res = Session(borrow_problem(p), f3r_config(Prec::FP16), f3r_termination(1e-8),
+                           m).solve();
   EXPECT_TRUE(res.converged);
 }
 

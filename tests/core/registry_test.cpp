@@ -6,7 +6,7 @@
 #include <atomic>
 #include <thread>
 
-#include "core/runner.hpp"
+#include "core/f3r.hpp"
 #include "core/session.hpp"
 #include "core/variants.hpp"
 #include "support/problems.hpp"
@@ -186,10 +186,11 @@ TEST(Registry, VariantAliasesMatchVariantConfig) {
   // registry kind must report the canonical variant name and match the
   // variant_config-built nested solve exactly.
   const auto p = small_problem(true);
-  auto m = make_primary(p, PrecondKind::BlockJacobiIluIc, 2);
+  auto m = registry().make_precond(parse_precond_spec("bj;nblocks=2"), p);
   for (const std::string& name : variant_names()) {
     const SolveResult via_spec = Session(p, SolverSpec::parse(name), m).solve();
-    const SolveResult via_cfg = run_nested(p, m, variant_config(name));
+    const SolveResult via_cfg =
+        Session(borrow_problem(p), variant_config(name), f3r_termination(), m).solve();
     EXPECT_EQ(via_spec.solver, name);
     EXPECT_EQ(via_spec.solver, via_cfg.solver);
     EXPECT_EQ(via_spec.iterations, via_cfg.iterations) << name;

@@ -1,15 +1,28 @@
-// Tests for the experiment runner shared by benches and examples.
+// Tests for the experiment front half shared by benches and examples:
+// problem preparation, the registry's primary-preconditioner choice, flat
+// solver reporting through Session, and the fp16-F3R-best search.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <limits>
 
 #include "core/cost_model.hpp"
-#include "core/runner.hpp"
+#include "core/f3r.hpp"
+#include "core/registry.hpp"
+#include "core/session.hpp"
 #include "sparse/gen/laplace.hpp"
 
 namespace nk {
 namespace {
+
+std::shared_ptr<PrimaryPrecond> precond(const PreparedProblem& p, const std::string& spec) {
+  return registry().make_precond(parse_precond_spec(spec), p);
+}
+
+SolveResult solve(const PreparedProblem& p, const std::string& spec,
+                  std::shared_ptr<PrimaryPrecond> m) {
+  return Session(borrow_problem(p), parse_solver_spec(spec), std::move(m)).solve();
+}
 
 TEST(Runner, PrepareProblemScalesAndBuildsRhs) {
   auto p = prepare_problem("t", gen::laplace2d(8, 8), true, 1.2, 1.3, 42);
@@ -36,17 +49,17 @@ TEST(Runner, PrepareStandinByName) {
 
 TEST(Runner, MakePrimarySelectsIcForSymmetric) {
   auto psym = prepare_problem("s", gen::laplace2d(8, 8), true, 1.0, 1.0, 1);
-  EXPECT_EQ(make_primary(psym, PrecondKind::BlockJacobiIluIc)->name(), "bj-ic0");
+  EXPECT_EQ(precond(psym, "bj")->name(), "bj-ic0");
   auto pnon = prepare_problem("n", gen::laplace2d(8, 8), false, 1.0, 1.0, 1);
-  EXPECT_EQ(make_primary(pnon, PrecondKind::BlockJacobiIluIc)->name(), "bj-ilu0");
-  EXPECT_EQ(make_primary(psym, PrecondKind::SdAinv)->name(), "sd-ainv");
-  EXPECT_EQ(make_primary(psym, PrecondKind::Jacobi)->name(), "jacobi");
+  EXPECT_EQ(precond(pnon, "bj")->name(), "bj-ilu0");
+  EXPECT_EQ(precond(psym, "sd-ainv")->name(), "sd-ainv");
+  EXPECT_EQ(precond(psym, "jacobi")->name(), "jacobi");
 }
 
 TEST(Runner, CgReportsAccurateMetadata) {
   auto p = prepare_problem("s", gen::laplace2d(12, 12), true, 1.0, 1.0, 2);
-  auto m = make_primary(p, PrecondKind::BlockJacobiIluIc, 2);
-  const auto res = run_cg(p, *m, Prec::FP64);
+  auto m = precond(p, "bj;nblocks=2");
+  const auto res = solve(p, "cg@fp64", m);
   EXPECT_TRUE(res.converged);
   EXPECT_EQ(res.solver, "fp64-CG");
   EXPECT_LT(res.final_relres, 1.5e-8);
@@ -58,16 +71,16 @@ TEST(Runner, CgReportsAccurateMetadata) {
 
 TEST(Runner, BicgstabNamesFollowStoragePrecision) {
   auto p = prepare_problem("n", gen::laplace2d(12, 12), false, 1.0, 1.0, 3);
-  auto m = make_primary(p, PrecondKind::BlockJacobiIluIc, 2);
-  const auto r16 = run_bicgstab(p, *m, Prec::FP16);
+  auto m = precond(p, "bj;nblocks=2");
+  const auto r16 = solve(p, "bicgstab@fp16", m);
   EXPECT_EQ(r16.solver, "fp16-BiCGStab");
   EXPECT_TRUE(r16.converged);
 }
 
 TEST(Runner, FgmresRestartedConverges) {
   auto p = prepare_problem("s", gen::laplace2d(12, 12), true, 1.0, 1.0, 4);
-  auto m = make_primary(p, PrecondKind::BlockJacobiIluIc, 2);
-  const auto res = run_fgmres_restarted(p, *m, Prec::FP32, 16);
+  auto m = precond(p, "bj;nblocks=2");
+  const auto res = solve(p, "fgmres16@fp32", m);
   EXPECT_TRUE(res.converged);
   EXPECT_EQ(res.solver, "fp32-FGMRES(16)");
   EXPECT_EQ(res.precond_invocations, static_cast<std::uint64_t>(res.iterations));
@@ -75,20 +88,18 @@ TEST(Runner, FgmresRestartedConverges) {
 
 TEST(Runner, FlatCapsRespected) {
   auto p = prepare_problem("s", gen::laplace2d(16, 16), true, 1.0, 1.0, 5);
-  auto m = make_primary(p, PrecondKind::Jacobi);
-  FlatSolverCaps caps;
-  caps.max_iters = 4;  // far too few
-  const auto res = run_cg(p, *m, Prec::FP64, caps);
+  auto m = precond(p, "jacobi");
+  const auto res = solve(p, "cg@fp64;max-iters=4", m);  // far too few
   EXPECT_FALSE(res.converged);
   EXPECT_EQ(res.iterations, 4);
 }
 
 TEST(Runner, AllSolversAgreeOnSolutionQuality) {
   auto p = prepare_problem("s", gen::laplace2d(12, 12), true, 1.0, 1.0, 6);
-  auto m = make_primary(p, PrecondKind::BlockJacobiIluIc, 2);
-  const auto cg = run_cg(p, *m, Prec::FP64);
-  const auto fg = run_fgmres_restarted(p, *m, Prec::FP64, 32);
-  const auto f3r = run_nested(p, m, f3r_config(Prec::FP16));
+  auto m = precond(p, "bj;nblocks=2");
+  const auto cg = solve(p, "cg@fp64", m);
+  const auto fg = solve(p, "fgmres32@fp64", m);
+  const auto f3r = solve(p, "f3r@fp16", m);
   for (const auto* r : {&cg, &fg, &f3r}) {
     EXPECT_TRUE(r->converged) << r->solver;
     EXPECT_LT(r->final_relres, 1.5e-8) << r->solver;
@@ -97,7 +108,7 @@ TEST(Runner, AllSolversAgreeOnSolutionQuality) {
 
 TEST(Runner, F3rBestSearchReturnsConvergedConfig) {
   auto p = prepare_problem("s", gen::laplace2d(10, 10), true, 1.0, 1.0, 7);
-  auto m = make_primary(p, PrecondKind::BlockJacobiIluIc, 2);
+  auto m = precond(p, "bj;nblocks=2");
   const auto best = run_f3r_best(p, m, 1e-8, 4);
   EXPECT_EQ(best.tried, 4);
   EXPECT_TRUE(best.result.converged);
@@ -108,7 +119,7 @@ TEST(Runner, F3rBestSearchReturnsConvergedConfig) {
 
 TEST(Runner, F3rBestZeroBudgetTriesNothing) {
   auto p = prepare_problem("s", gen::laplace2d(8, 8), true, 1.0, 1.0, 8);
-  auto m = make_primary(p, PrecondKind::BlockJacobiIluIc, 2);
+  auto m = precond(p, "bj;nblocks=2");
   const auto best = run_f3r_best(p, m, 1e-8, 0);
   EXPECT_EQ(best.tried, 0);
   EXPECT_FALSE(best.result.converged);
@@ -119,7 +130,7 @@ TEST(Runner, F3rBestBudgetCappedByParameterBoxSize) {
   // The box is m2 ∈ {6..10} × m3 ∈ {2..6} × m4 ∈ {1,2} = 50 candidates;
   // an oversized budget must stop there.
   auto p = prepare_problem("s", gen::laplace2d(8, 8), true, 1.0, 1.0, 9);
-  auto m = make_primary(p, PrecondKind::BlockJacobiIluIc, 2);
+  auto m = precond(p, "bj;nblocks=2");
   const auto best = run_f3r_best(p, m, 1e-6, 10000);
   EXPECT_EQ(best.tried, 50);
   EXPECT_TRUE(best.result.converged);
@@ -130,7 +141,7 @@ TEST(Runner, F3rBestOrdersCandidatesByMemoryAccessModel) {
   // an easy problem it is also the one returned.  Recompute the model's
   // argmin independently and compare.
   auto p = prepare_problem("s", gen::laplace2d(10, 10), true, 1.0, 1.0, 10);
-  auto m = make_primary(p, PrecondKind::BlockJacobiIluIc, 2);
+  auto m = precond(p, "bj;nblocks=2");
   const auto best = run_f3r_best(p, m, 1e-8, 1);
   ASSERT_EQ(best.tried, 1);
   ASSERT_TRUE(best.result.converged);
@@ -160,7 +171,7 @@ TEST(Runner, F3rBestSkipsNonConvergedCandidates) {
   // An unreachable tolerance: every candidate fails, the search reports
   // the whole budget as tried and returns a non-converged placeholder.
   auto p = prepare_problem("s", gen::laplace2d(6, 6), true, 1.0, 1.0, 11);
-  auto m = make_primary(p, PrecondKind::BlockJacobiIluIc, 2);
+  auto m = precond(p, "bj;nblocks=2");
   const auto best = run_f3r_best(p, m, 1e-300, 2);
   EXPECT_EQ(best.tried, 2);
   EXPECT_FALSE(best.result.converged);

@@ -32,7 +32,7 @@ TEST(Spec, DefaultsAndCanonicalForms) {
 TEST(Spec, ParsePopulatesEveryField) {
   const SolverSpec s = SolverSpec::parse(
       "fgmres32@fp32/ssor@fp16;rtol=2.5e-05;max-iters=123;restarts=5;nohist;wave=7;"
-      "masked;nblocks=9;omega=1.5;degree=4");
+      "layout=colmajor;nblocks=9;omega=1.5;degree=4");
   EXPECT_EQ(s.kind, "fgmres");
   EXPECT_EQ(s.m, 32);
   EXPECT_EQ(s.prec, Prec::FP32);
@@ -41,7 +41,7 @@ TEST(Spec, ParsePopulatesEveryField) {
   EXPECT_EQ(s.max_restarts, 5);
   EXPECT_FALSE(s.record_history);
   EXPECT_EQ(s.wave, 7);
-  EXPECT_FALSE(s.compact);
+  EXPECT_EQ(s.layout, PanelLayout::kColMajor);
   EXPECT_EQ(s.precond.kind, "ssor");
   ASSERT_TRUE(s.precond.storage.has_value());
   EXPECT_EQ(*s.precond.storage, Prec::FP16);
@@ -97,7 +97,7 @@ TEST(Spec, RoundTripAllRegisteredKinds) {
     for (const Prec prec : {Prec::FP64, Prec::FP32, Prec::FP16}) {
       if (!info->takes_prec && prec != Prec::FP64) continue;
       for (const int wave : {0, 4}) {
-        for (const bool compact : {true, false}) {
+        for (const bool colmajor : {false, true}) {
           SolverSpec s;
           s.kind = kind;
           s.prec = prec;
@@ -107,7 +107,7 @@ TEST(Spec, RoundTripAllRegisteredKinds) {
           s.max_restarts = 1;
           s.record_history = (wave == 0);
           s.wave = wave;
-          s.compact = compact;
+          if (colmajor) s.layout = PanelLayout::kColMajor;
           s.precond.kind = precond_kinds[pidx++ % precond_kinds.size()];
           s.precond.storage = (cells % 2 == 0) ? std::optional<Prec>(Prec::FP16)
                                                : std::nullopt;
@@ -243,7 +243,8 @@ TEST(Spec, RejectsMalformedStrings) {
   EXPECT_THROW(SolverSpec::parse("cg;rtol=1e-8zzz"), SpecError);
   EXPECT_THROW(SolverSpec::parse("cg;max-iters=-5"), SpecError);
   EXPECT_THROW(SolverSpec::parse("cg;bogus=1"), SpecError);
-  EXPECT_THROW(SolverSpec::parse("cg;masked=1"), SpecError);  // flag, not kv
+  EXPECT_THROW(SolverSpec::parse("cg;nohist=1"), SpecError);  // flag, not kv
+  EXPECT_THROW(SolverSpec::parse("cg;masked"), SpecError);    // retired option
   EXPECT_THROW(SolverSpec::parse("cg;wave"), SpecError);      // kv, not flag
   EXPECT_THROW(PrecondSpec::parse("bj;rtol=1e-8"), SpecError);  // solver-only key
   EXPECT_THROW(PrecondSpec::parse("bj/jacobi"), SpecError);

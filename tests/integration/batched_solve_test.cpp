@@ -19,7 +19,9 @@
 
 #include "base/env.hpp"
 #include "base/rng.hpp"
-#include "core/runner.hpp"
+#include "core/f3r.hpp"
+#include "core/registry.hpp"
+#include "core/session.hpp"
 #include "core/variants.hpp"
 #include "krylov/bicgstab.hpp"
 #include "krylov/cg.hpp"
@@ -237,7 +239,7 @@ TEST(BatchedSolve, RichardsonApplyManyPreservesInvocationOrder) {
 TEST(BatchedSolve, NestedF3rFp64ExactColumnAgreement) {
   SingleThreadGuard guard;
   auto p = prepare_standin("hpcg_4_4_4", 1);
-  auto m = make_primary(p, PrecondKind::BlockJacobiIluIc, 4);
+  auto m = registry().make_precond(parse_precond_spec("bj;nblocks=4"), p);
   const std::size_t n = p.b.size();
   const int k = 3;
   const auto B = make_batch(n, k, 61);
@@ -274,7 +276,7 @@ TEST(BatchedSolve, F3rVariantsConvergePerColumn) {
   // construction; assert the meaningful contract — every column of the
   // batch converges to the same tolerance its sequential counterpart does.
   auto p = prepare_standin("hpcg_4_4_4", 1);
-  auto m = make_primary(p, PrecondKind::BlockJacobiIluIc, 4);
+  auto m = registry().make_precond(parse_precond_spec("bj;nblocks=4"), p);
   const std::size_t n = p.b.size();
   const int k = 3;
   const auto B = batch_rhs(p, k);
@@ -282,8 +284,8 @@ TEST(BatchedSolve, F3rVariantsConvergePerColumn) {
 
   for (const Prec lowest : {Prec::FP32, Prec::FP16}) {
     std::fill(X.begin(), X.end(), 0.0);
-    const auto many = run_nested_many(p, m, f3r_config(lowest),
-                                      std::span<const double>(B), std::span<double>(X), k);
+    const auto many = Session(borrow_problem(p), f3r_config(lowest), f3r_termination(), m)
+                          .solve_many(std::span<const double>(B), std::span<double>(X), k);
     for (int c = 0; c < k; ++c) {
       EXPECT_TRUE(test::converged(many[c])) << f3r_name(lowest) << " c=" << c;
       EXPECT_LT(many[c].final_relres, 1.5e-8) << f3r_name(lowest) << " c=" << c;
@@ -292,8 +294,8 @@ TEST(BatchedSolve, F3rVariantsConvergePerColumn) {
   // Table 4 ablation variants, k = 2 (they share the same machinery).
   for (const auto& name : variant_names()) {
     std::fill(X.begin(), X.end(), 0.0);
-    const auto many = run_nested_many(p, m, variant_config(name),
-                                      std::span<const double>(B), std::span<double>(X), 2);
+    const auto many = Session(borrow_problem(p), variant_config(name), f3r_termination(), m)
+                          .solve_many(std::span<const double>(B), std::span<double>(X), 2);
     for (int c = 0; c < 2; ++c) {
       EXPECT_TRUE(test::converged(many[c])) << name << " c=" << c;
       EXPECT_LT(many[c].final_relres, 1.5e-8) << name << " c=" << c;
@@ -343,17 +345,15 @@ std::vector<double> staggered_batch(index_t nx, index_t ny, const std::vector<in
   return B;
 }
 
-/// Run compact (at `wave`), masked, and sequential CG on the same batch and
-/// assert bit-identical iterates, iteration counts, and histories.
-void check_cg_compact_vs_masked_vs_seq(const CsrMatrix<double>& a,
-                                       const std::vector<double>& B, int k, int wave,
-                                       CgSolver<double>::Config cfg) {
+/// Run batched (at `wave`) and sequential CG on the same batch and assert
+/// bit-identical iterates, iteration counts, and histories.
+void check_cg_compact_vs_seq(const CsrMatrix<double>& a, const std::vector<double>& B,
+                             int k, int wave, CgSolver<double>::Config cfg) {
   SingleThreadGuard guard;
   const std::size_t n = static_cast<std::size_t>(a.nrows);
   JacobiPrecond jac(a);
   cfg.record_history = true;
 
-  cfg.compact = true;
   std::vector<double> Xc(n * static_cast<std::size_t>(k), 0.0);
   CsrOperator<double, double> op_c(a);
   auto h_c = jac.make_apply<double>(Prec::FP64);
@@ -361,18 +361,9 @@ void check_cg_compact_vs_masked_vs_seq(const CsrMatrix<double>& a,
   const auto many_c = compact.solve_many(B.data(), static_cast<std::ptrdiff_t>(n),
                                          Xc.data(), static_cast<std::ptrdiff_t>(n), k, wave);
 
-  cfg.compact = false;
-  std::vector<double> Xm(n * static_cast<std::size_t>(k), 0.0);
-  CsrOperator<double, double> op_m(a);
-  auto h_m = jac.make_apply<double>(Prec::FP64);
-  CgSolver<double> masked(op_m, *h_m, cfg);
-  const auto many_m = masked.solve_many(B.data(), static_cast<std::ptrdiff_t>(n),
-                                        Xm.data(), static_cast<std::ptrdiff_t>(n), k);
-
   for (int c = 0; c < k; ++c) {
     CsrOperator<double, double> op_s(a);
     auto h_s = jac.make_apply<double>(Prec::FP64);
-    cfg.compact = true;  // irrelevant for solve(); keep cfg identical otherwise
     CgSolver<double> seq(op_s, *h_s, cfg);
     std::vector<double> x(n, 0.0);
     const auto one = seq.solve(
@@ -380,14 +371,11 @@ void check_cg_compact_vs_masked_vs_seq(const CsrMatrix<double>& a,
         std::span<double>(x));
     EXPECT_EQ(many_c[c].converged, one.converged) << "c=" << c;
     EXPECT_EQ(many_c[c].iterations, one.iterations) << "c=" << c;
-    EXPECT_EQ(many_m[c].iterations, one.iterations) << "c=" << c;
     ASSERT_EQ(many_c[c].history.size(), one.history.size()) << "c=" << c;
     for (std::size_t t = 0; t < one.history.size(); ++t)
       ASSERT_EQ(many_c[c].history[t], one.history[t]) << "c=" << c << " t=" << t;
-    for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t i = 0; i < n; ++i)
       ASSERT_EQ(Xc[static_cast<std::size_t>(c) * n + i], x[i]) << "c=" << c << " i=" << i;
-      ASSERT_EQ(Xm[static_cast<std::size_t>(c) * n + i], x[i]) << "c=" << c << " i=" << i;
-    }
   }
 }
 
@@ -398,7 +386,7 @@ TEST(BatchedCompaction, AllColumnsRetireAtIterationOne) {
   std::vector<int> counts(5);
   for (int c = 0; c < 5; ++c) counts[c] = 1;
   const auto B = staggered_batch(20, 20, counts, 101);
-  check_cg_compact_vs_masked_vs_seq(a, B, 5, 0, {.rtol = 1e-9, .max_iters = 100});
+  check_cg_compact_vs_seq(a, B, 5, 0, {.rtol = 1e-9, .max_iters = 100});
 }
 
 TEST(BatchedCompaction, AllColumnsConvergedAtInit) {
@@ -429,7 +417,7 @@ TEST(BatchedCompaction, OneStraggler) {
   std::vector<int> counts(8, 1);
   counts[3] = 0;  // random RHS straggler (mid-batch, so the map is exercised)
   const auto B = staggered_batch(20, 20, counts, 111);
-  check_cg_compact_vs_masked_vs_seq(a, B, 8, 0, {.rtol = 1e-9, .max_iters = 2000});
+  check_cg_compact_vs_seq(a, B, 8, 0, {.rtol = 1e-9, .max_iters = 2000});
 }
 
 TEST(BatchedCompaction, RetireExactlyAtDispatchBoundary) {
@@ -440,7 +428,7 @@ TEST(BatchedCompaction, RetireExactlyAtDispatchBoundary) {
   std::vector<int> counts(16);
   for (int c = 0; c < 16; ++c) counts[c] = (c % 2 == 0) ? 2 : 6;
   const auto B = staggered_batch(20, 20, counts, 121);
-  check_cg_compact_vs_masked_vs_seq(a, B, 16, 0, {.rtol = 1e-9, .max_iters = 200});
+  check_cg_compact_vs_seq(a, B, 16, 0, {.rtol = 1e-9, .max_iters = 200});
 }
 
 TEST(BatchedCompaction, RaggedWavesMatchSequential) {
@@ -452,7 +440,7 @@ TEST(BatchedCompaction, RaggedWavesMatchSequential) {
   const std::vector<int> counts = {1, 0, 3, 1, 0, 5, 2, 0, 4};
   const auto B = staggered_batch(20, 20, counts, 131);
   for (int wave : {4, 1, 16})
-    check_cg_compact_vs_masked_vs_seq(a, B, 9, wave, {.rtol = 1e-9, .max_iters = 2000});
+    check_cg_compact_vs_seq(a, B, 9, wave, {.rtol = 1e-9, .max_iters = 2000});
 }
 
 TEST(BatchedCompaction, MaxItersRetirementRefillsWave) {
@@ -487,7 +475,7 @@ TEST(BatchedCompaction, MaxItersRetirementRefillsWave) {
   }
 }
 
-TEST(BatchedCompaction, BicgstabCompactMatchesMaskedAndSequential) {
+TEST(BatchedCompaction, BicgstabCompactMatchesSequential) {
   SingleThreadGuard guard;
   const auto a = test::scaled_laplace2d(20, 20);
   const std::size_t n = static_cast<std::size_t>(a.nrows);
@@ -497,7 +485,6 @@ TEST(BatchedCompaction, BicgstabCompactMatchesMaskedAndSequential) {
   BiCgStabSolver<double>::Config cfg{.rtol = 1e-9, .max_iters = 2000, .record_history = true};
 
   for (int wave : {0, 3}) {
-    cfg.compact = true;
     std::vector<double> Xc(n * k, 0.0);
     CsrOperator<double, double> op_c(a);
     auto h_c = ilu.make_apply<double>(Prec::FP64);
@@ -505,13 +492,6 @@ TEST(BatchedCompaction, BicgstabCompactMatchesMaskedAndSequential) {
     const auto many_c = compact.solve_many(B.data(), static_cast<std::ptrdiff_t>(n),
                                            Xc.data(), static_cast<std::ptrdiff_t>(n), k, wave);
 
-    cfg.compact = false;
-    std::vector<double> Xm(n * k, 0.0);
-    CsrOperator<double, double> op_m(a);
-    auto h_m = ilu.make_apply<double>(Prec::FP64);
-    BiCgStabSolver<double> masked(op_m, *h_m, cfg);
-    const auto many_m = masked.solve_many(B.data(), static_cast<std::ptrdiff_t>(n),
-                                          Xm.data(), static_cast<std::ptrdiff_t>(n), k);
 
     for (int c = 0; c < k; ++c) {
       CsrOperator<double, double> op_s(a);
@@ -523,19 +503,15 @@ TEST(BatchedCompaction, BicgstabCompactMatchesMaskedAndSequential) {
           std::span<double>(x));
       EXPECT_EQ(many_c[c].converged, one.converged) << "wave=" << wave << " c=" << c;
       EXPECT_EQ(many_c[c].iterations, one.iterations) << "wave=" << wave << " c=" << c;
-      EXPECT_EQ(many_m[c].iterations, one.iterations) << "wave=" << wave << " c=" << c;
       ASSERT_EQ(many_c[c].history.size(), one.history.size()) << "wave=" << wave << " c=" << c;
-      for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t i = 0; i < n; ++i)
         ASSERT_EQ(Xc[static_cast<std::size_t>(c) * n + i], x[i])
             << "wave=" << wave << " c=" << c << " i=" << i;
-        ASSERT_EQ(Xm[static_cast<std::size_t>(c) * n + i], x[i])
-            << "wave=" << wave << " c=" << c << " i=" << i;
-      }
     }
   }
 }
 
-TEST(BatchedCompaction, FgmresCompactMatchesMaskedAndRun) {
+TEST(BatchedCompaction, FgmresCompactMatchesRun) {
   // Columns spanning few eigenvectors break down (hit their Krylov degree)
   // at staggered steps within one cycle; the compact path must gather the
   // survivors and still reproduce run()'s per-column data exactly.
@@ -547,7 +523,6 @@ TEST(BatchedCompaction, FgmresCompactMatchesMaskedAndRun) {
   JacobiPrecond jac(a);
 
   FgmresSolver<double>::Config cfg{.m = 30};
-  cfg.compact = true;
   std::vector<double> Xc(n * k, 0.0);
   CsrOperator<double, double> op_c(a);
   auto h_c = jac.make_apply<double>(Prec::FP64);
@@ -556,14 +531,6 @@ TEST(BatchedCompaction, FgmresCompactMatchesMaskedAndRun) {
                                        static_cast<std::ptrdiff_t>(n), k, 1e-8,
                                        /*x_nonzero=*/false);
 
-  cfg.compact = false;
-  std::vector<double> Xm(n * k, 0.0);
-  CsrOperator<double, double> op_m(a);
-  auto h_m = jac.make_apply<double>(Prec::FP64);
-  FgmresSolver<double> masked(op_m, *h_m, cfg);
-  const auto many_m = masked.run_many(B.data(), static_cast<std::ptrdiff_t>(n), Xm.data(),
-                                      static_cast<std::ptrdiff_t>(n), k, 1e-8,
-                                      /*x_nonzero=*/false);
 
   bool staggered = false;
   for (int c = 1; c < k; ++c) staggered = staggered || many_c[c].iters != many_c[0].iters;
@@ -578,13 +545,10 @@ TEST(BatchedCompaction, FgmresCompactMatchesMaskedAndRun) {
         seq.run(std::span<const double>(B.data() + static_cast<std::size_t>(c) * n, n),
                 std::span<double>(x), 1e-8, /*x_nonzero=*/false);
     EXPECT_EQ(many_c[c].iters, one.iters) << "c=" << c;
-    EXPECT_EQ(many_m[c].iters, one.iters) << "c=" << c;
     EXPECT_EQ(many_c[c].reached_target, one.reached_target) << "c=" << c;
     EXPECT_EQ(many_c[c].residual_est, one.residual_est) << "c=" << c;
-    for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t i = 0; i < n; ++i)
       ASSERT_EQ(Xc[static_cast<std::size_t>(c) * n + i], x[i]) << "c=" << c << " i=" << i;
-      ASSERT_EQ(Xm[static_cast<std::size_t>(c) * n + i], x[i]) << "c=" << c << " i=" << i;
-    }
   }
 }
 
@@ -609,7 +573,6 @@ TEST(BatchedLayout, CgColMajorBitIdenticalToRowMajor) {
   const auto B = staggered_batch(20, 20, {1, 0, 3, 1, 0, 5, 2, 0, 4}, 171);
   JacobiPrecond jac(a);
   CgSolver<double>::Config cfg{.rtol = 1e-9, .max_iters = 2000, .record_history = true};
-  cfg.compact = true;
 
   std::vector<std::vector<double>> X;
   std::vector<std::vector<SolveResult>> R;
@@ -640,7 +603,6 @@ TEST(BatchedLayout, BicgstabColMajorBitIdenticalToRowMajor) {
   BlockJacobiIlu0 ilu(a, {.nblocks = 4, .alpha = 1.0});
   BiCgStabSolver<double>::Config cfg{.rtol = 1e-9, .max_iters = 2000,
                                      .record_history = true};
-  cfg.compact = true;
 
   std::vector<std::vector<double>> X;
   std::vector<std::vector<SolveResult>> R;
@@ -675,7 +637,6 @@ TEST(BatchedLayout, FgmresColMajorBitIdenticalToRowMajor) {
   std::vector<std::vector<FgmresSolver<double>::RunStats>> R;
   for (PanelLayout lay : {PanelLayout::kRowMajor, PanelLayout::kColMajor}) {
     FgmresSolver<double>::Config cfg{.m = 30};
-    cfg.compact = true;
     cfg.layout = lay;
     X.emplace_back(n * static_cast<std::size_t>(k), 0.0);
     CsrOperator<double, double> op(a);
@@ -702,7 +663,6 @@ TEST(BatchedLayout, WorkspaceDefaultAppliesWhenConfigUnset) {
   const auto B = make_batch(n, k, 201);
   JacobiPrecond jac(a);
   CgSolver<double>::Config cfg{.rtol = 1e-9, .max_iters = 1000};
-  cfg.compact = true;
 
   std::vector<double> Xw(n * k, 0.0), Xe(n * k, 0.0);
   {
@@ -736,8 +696,8 @@ TEST(BatchedSolve, WorkspaceReuseAcrossTwoMatricesNoRealloc) {
   auto p1 = prepare_standin("hpcg_4_4_4", 1);
   auto p2 = prepare_standin("hpgmp_4_4_4", 1);
   ASSERT_EQ(p1.b.size(), p2.b.size());
-  auto m1 = make_primary(p1, PrecondKind::BlockJacobiIluIc, 4);
-  auto m2 = make_primary(p2, PrecondKind::BlockJacobiIluIc, 4);
+  auto m1 = registry().make_precond(parse_precond_spec("bj;nblocks=4"), p1);
+  auto m2 = registry().make_precond(parse_precond_spec("bj;nblocks=4"), p2);
   const std::size_t n = p1.b.size();
   const int k = 2;
   const auto B = batch_rhs(p1, k);

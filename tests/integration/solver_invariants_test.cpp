@@ -24,8 +24,10 @@ class BlockSweep : public ::testing::TestWithParam<int> {};
 TEST_P(BlockSweep, F3rConvergesForEveryPartition) {
   const int nblocks = GetParam();
   auto p = prepare_standin("hpcg_4_4_4", 1);
-  auto m = make_primary(p, PrecondKind::BlockJacobiIluIc, nblocks);
-  const auto res = run_nested(p, m, f3r_config(Prec::FP16), f3r_termination(1e-8));
+  auto m = registry().make_precond(
+      parse_precond_spec("bj;nblocks=" + std::to_string(nblocks)), p);
+  const auto res = Session(borrow_problem(p), f3r_config(Prec::FP16), f3r_termination(1e-8),
+                           m).solve();
   EXPECT_TRUE(test::converged(res)) << "nblocks=" << nblocks;
   EXPECT_LT(res.final_relres, 1e-8);
 }
@@ -35,10 +37,11 @@ TEST_P(BlockSweep, MoreBlocksNeverBeatFewerByMuch) {
   // count(nblocks) >= count(1) for every partition.
   const int nblocks = GetParam();
   auto p = prepare_standin("hpcg_4_4_4", 1);
-  auto m1 = make_primary(p, PrecondKind::BlockJacobiIluIc, 1);
-  auto mb = make_primary(p, PrecondKind::BlockJacobiIluIc, nblocks);
-  const auto r1 = run_cg(p, *m1, Prec::FP64);
-  const auto rb = run_cg(p, *mb, Prec::FP64);
+  auto m1 = registry().make_precond(parse_precond_spec("bj;nblocks=1"), p);
+  auto mb = registry().make_precond(
+      parse_precond_spec("bj;nblocks=" + std::to_string(nblocks)), p);
+  const auto r1 = Session(borrow_problem(p), parse_solver_spec("cg@fp64"), m1).solve();
+  const auto rb = Session(borrow_problem(p), parse_solver_spec("cg@fp64"), mb).solve();
   ASSERT_TRUE(test::converged(r1));
   ASSERT_TRUE(test::converged(rb));
   EXPECT_GE(rb.iterations + 1, r1.iterations) << "nblocks=" << nblocks;
@@ -52,7 +55,7 @@ TEST_P(PrecisionDeterminism, IdenticalRunsAreBitIdentical) {
   const Prec prec = static_cast<Prec>(GetParam());
   auto p = prepare_standin("hpgmp_4_4_4", 1);
   auto run_once = [&] {
-    auto m = make_primary(p, PrecondKind::BlockJacobiIluIc, 8);
+    auto m = registry().make_precond(parse_precond_spec("bj;nblocks=8"), p);
     NestedSolver s(p.a, m, f3r_config(prec));
     std::vector<double> x(p.b.size(), 0.0);
     const auto res = s.solve(std::span<const double>(p.b), std::span<double>(x),
@@ -74,7 +77,7 @@ INSTANTIATE_TEST_SUITE_P(Precisions, PrecisionDeterminism, ::testing::Values(0, 
 
 TEST(SolutionAgreement, FamiliesAgreeOnXNotJustResidual) {
   auto p = prepare_standin("hpcg_4_4_4", 1);
-  auto m = make_primary(p, PrecondKind::BlockJacobiIluIc, 8);
+  auto m = registry().make_precond(parse_precond_spec("bj;nblocks=8"), p);
   const double tol = 1e-10;
 
   auto solve_nested = [&](const NestedConfig& cfg) {
@@ -103,14 +106,15 @@ TEST(SolutionAgreement, FamiliesAgreeOnXNotJustResidual) {
 
 TEST(RestartConsistency, SmallM1WithRestartsReachesSameAccuracy) {
   auto p = prepare_standin("hpcg_4_4_4", 1);
-  auto m = make_primary(p, PrecondKind::BlockJacobiIluIc, 64);
+  auto m = registry().make_precond(parse_precond_spec("bj;nblocks=64"), p);
 
-  const auto big = run_nested(p, m, f3r_config(Prec::FP16), f3r_termination(1e-8));
+  const auto big = Session(borrow_problem(p), f3r_config(Prec::FP16), f3r_termination(1e-8),
+                           m).solve();
   F3rParams small_prm;
   small_prm.m1 = 1;  // one outer iteration per cycle: forces restarts
   Termination t = f3r_termination(1e-8);
   t.max_restarts = 60;
-  const auto small = run_nested(p, m, f3r_config(Prec::FP16, small_prm), t);
+  const auto small = Session(borrow_problem(p), f3r_config(Prec::FP16, small_prm), t, m).solve();
 
   ASSERT_TRUE(test::converged(big));
   ASSERT_TRUE(test::converged(small));
@@ -124,8 +128,9 @@ TEST(SeedSensitivity, DifferentRhsSameIterationScale) {
   std::vector<int> counts;
   for (std::uint64_t seed : {1u, 2u, 3u}) {
     auto p = prepare_standin("hpcg_4_4_4", 1, seed);
-    auto m = make_primary(p, PrecondKind::BlockJacobiIluIc, 8);
-    const auto res = run_nested(p, m, f3r_config(Prec::FP16), f3r_termination(1e-8));
+    auto m = registry().make_precond(parse_precond_spec("bj;nblocks=8"), p);
+    const auto res = Session(borrow_problem(p), f3r_config(Prec::FP16), f3r_termination(1e-8),
+                             m).solve();
     ASSERT_TRUE(test::converged(res));
     counts.push_back(res.iterations);
   }

@@ -19,8 +19,8 @@
 #include <cmath>
 #include <thread>
 
+#include "core/fingerprint.hpp"
 #include "core/problem.hpp"
-#include "core/service/fingerprint.hpp"
 #include "support/problems.hpp"
 
 namespace nk::service {

@@ -141,12 +141,15 @@ TEST_F(ServerTest, SemanticErrorsKeepTheConnectionUsable) {
   } catch (const ProtocolError& e) {
     EXPECT_EQ(e.code(), "unknown-handle");
   }
-  // Bad spec on a good handle: same discipline.
-  try {
-    c.solve(h.handle, "cg;wave=4x", B, 1, h.n);
-    FAIL() << "expected bad-spec";
-  } catch (const ProtocolError& e) {
-    EXPECT_EQ(e.code(), "bad-spec");
+  // Bad spec on a good handle (a malformed value, then the retired
+  // ";masked" option): same discipline.
+  for (const char* spec : {"cg;wave=4x", "cg;masked"}) {
+    try {
+      c.solve(h.handle, spec, B, 1, h.n);
+      FAIL() << "expected bad-spec for " << spec;
+    } catch (const ProtocolError& e) {
+      EXPECT_EQ(e.code(), "bad-spec") << spec;
+    }
   }
   // The SAME connection still solves.
   EXPECT_TRUE(c.solve(h.handle, "cg/jacobi", B, 1, h.n).columns[0].converged());

@@ -91,11 +91,12 @@ SPMM_PAIRS = [
     ("spmv_sell_fp64/hpcg", "spmv_sell_rowwise_fp64/hpcg"),
 ]
 
-# Batched-solve pairs: one lockstep/compacted solve vs its reference.
+# Batched-solve pairs: one lockstep/compacted batched solve vs the same
+# right-hand sides solved sequentially.
 SOLVE_PAIRS = [
     ("solve_cg_batched_8rhs_laplace", "solve_cg_seq_8rhs_laplace"),
-    ("solve_cg_staggered16_compact_hpcg", "solve_cg_staggered16_masked_hpcg"),
-    ("fgmres_staggered16_compact_hpcg", "fgmres_staggered16_masked_hpcg"),
+    ("solve_cg_staggered16_compact_hpcg", "solve_cg_staggered16_seq_hpcg"),
+    ("fgmres_staggered16_compact_hpcg", "fgmres_staggered16_seq_hpcg"),
 ]
 
 # Daemon-throughput pairs: amortized per-solve seconds of N concurrent
@@ -321,6 +322,16 @@ def self_test():
     stale = synthetic()
     del stale["axpy_many_fp32_k8"]
     expect("record missing from baseline exits 2", diff(synthetic(), stale, 0.25), 2)
+
+    # The staggered batched solves gate against the sequential solver; a
+    # baseline still carrying the retired masked-lockstep reference records
+    # is a rename and must fail loudly, not skip.
+    masked_era = synthetic()
+    for fused, ref in SOLVE_PAIRS[1:]:
+        old = ref.replace("_seq_", "_masked_")
+        masked_era[old] = dict(masked_era.pop(ref), name=old)
+    expect("staggered seq records absent from a masked-era baseline exit 2",
+           diff(synthetic(), masked_era, 0.25), 2)
 
     # Soft backend records: one-sided absence (a pre-seam baseline) skips
     # the pair instead of exiting 2 like a rename/drop would.
