@@ -43,7 +43,6 @@
 #include "base/blas1.hpp"
 #include "base/blas_block.hpp"
 #include "base/options.hpp"
-#include "base/panel.hpp"
 #include "base/rng.hpp"
 #include "base/simd_fp16.hpp"
 #include "base/timer.hpp"
@@ -226,18 +225,14 @@ void bench_blas1(bench::JsonReport& rep, std::int64_t n) {
   });
   rep.add("scal_plus_copy_" + p, n, 0, s, 4 * vec_bytes / s / 1e9);
 
-  // --- dot_cols: pairwise column dots over a panel, both layouts ----------
-  // vbuf doubles as a row-major X panel (column j contiguous at j·nn); Y is
-  // an independent panel.  The colmajor (interleaved) variant runs on
-  // transposed copies of the same data and must match bit-for-bit —
-  // PanelLayout changes addressing only, never per-column accumulation
-  // order (the contract base/panel.hpp documents).
+  // --- dot_cols: pairwise column dots over a panel ------------------------
+  // vbuf doubles as the X panel (column j contiguous at j·nn); Y is an
+  // independent panel.
   {
     const std::vector<T> ybuf =
         converted<T>(random_vector<double>(nn * static_cast<std::size_t>(k), 13, -1.0, 1.0));
     const auto ldn = static_cast<std::ptrdiff_t>(nn);
-    std::vector<S> cd(static_cast<std::size_t>(k)), cd_cm(static_cast<std::size_t>(k)),
-        cd_ref(static_cast<std::size_t>(k));
+    std::vector<S> cd(static_cast<std::size_t>(k)), cd_ref(static_cast<std::size_t>(k));
 
     blas::dot_cols(vbuf.data(), ldn, ybuf.data(), ldn, k, nn, cd.data());
     for (int j = 0; j < k; ++j)
@@ -247,32 +242,11 @@ void bench_blas1(bench::JsonReport& rep, std::int64_t n) {
       cmax = std::max(cmax, std::abs(static_cast<double>(cd[j]) - static_cast<double>(cd_ref[j])));
     check("dot_cols_" + p, cmax, tol_for<T>(static_cast<double>(n)));
 
-    std::vector<T> xcm(nn * static_cast<std::size_t>(k)), ycm(nn * static_cast<std::size_t>(k));
-    panel_copy(vbuf.data(), ldn, PanelLayout::kRowMajor, xcm.data(),
-               static_cast<std::ptrdiff_t>(k), PanelLayout::kColMajor, k, ldn);
-    panel_copy(ybuf.data(), ldn, PanelLayout::kRowMajor, ycm.data(),
-               static_cast<std::ptrdiff_t>(k), PanelLayout::kColMajor, k, ldn);
-    blas::dot_cols(xcm.data(), static_cast<std::ptrdiff_t>(k), ycm.data(),
-                   static_cast<std::ptrdiff_t>(k), k, nn, cd_cm.data(), nullptr,
-                   PanelLayout::kColMajor, PanelLayout::kColMajor);
-    double lmax = 0.0;
-    for (int j = 0; j < k; ++j)
-      lmax = std::max(lmax, std::abs(static_cast<double>(cd_cm[j]) - static_cast<double>(cd[j])));
-    check("dot_cols_layout_agreement_" + p, lmax, 0.0);  // addressing-only: bit-exact
-
     s = time_min([&] {
       blas::dot_cols(vbuf.data(), ldn, ybuf.data(), ldn, k, nn, cd.data());
       asm volatile("" ::"r"(cd.data()) : "memory");
     });
     rep.add("dot_cols_" + p + "_k8", n, 0, s, 2 * k * vec_bytes / s / 1e9);
-
-    s = time_min([&] {
-      blas::dot_cols(xcm.data(), static_cast<std::ptrdiff_t>(k), ycm.data(),
-                     static_cast<std::ptrdiff_t>(k), k, nn, cd_cm.data(), nullptr,
-                     PanelLayout::kColMajor, PanelLayout::kColMajor);
-      asm volatile("" ::"r"(cd_cm.data()) : "memory");
-    });
-    rep.add("dot_cols_cm_" + p + "_k8", n, 0, s, 2 * k * vec_bytes / s / 1e9);
   }
 }
 

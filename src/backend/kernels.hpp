@@ -12,7 +12,7 @@
 // the seam ROADMAP item 1 asked for.  Dispatch is a compile-time choice
 // between per-backend policy structs selected by one runtime branch on the
 // stored enum: the kernel layer is templated over matrix × vector × scalar
-// precisions and panel layouts, so a runtime function-pointer table would
+// precisions, so a runtime function-pointer table would
 // explode combinatorially and obscure the bit-identity contracts; a
 // branch into fully-typed implementations keeps every instantiation
 // checkable and costs one predictable test per kernel call (epsilon next
@@ -24,10 +24,10 @@
 // backend can fall back to staging through an existing one explicitly —
 // never silently.
 //
-// The scan-only guards (blas::has_nonfinite / first_nonfinite_col) and the
-// layout staging copies (panel_copy*) are backend-neutral by construction
-// (exact element reads/copies, no reductions, no SIMD dispatch) and are
-// exposed here unconditionally so callers stay implementation-free.
+// The scan-only guards (blas::has_nonfinite / first_nonfinite_col) are
+// backend-neutral by construction (exact element reads, no reductions, no
+// SIMD dispatch) and are exposed here unconditionally so callers stay
+// implementation-free.
 #pragma once
 
 #include <cstddef>
@@ -140,46 +140,29 @@ class Kernels {
 
   template <class TX, class TY>
   void dot_cols(const TX* x, std::ptrdiff_t ldx, const TY* y, std::ptrdiff_t ldy, int k,
-                std::size_t n, acc_t<promote_t<TX, TY>>* out,
-                const unsigned char* active = nullptr,
-                PanelLayout lx = PanelLayout::kRowMajor,
-                PanelLayout ly = PanelLayout::kRowMajor) const {
-    if (be_ == Backend::kSerial)
-      nk::serial::dot_cols(x, ldx, y, ldy, k, n, out, active, lx, ly);
-    else
-      blas::dot_cols(x, ldx, y, ldy, k, n, out, active, lx, ly);
+                std::size_t n, acc_t<promote_t<TX, TY>>* out) const {
+    if (be_ == Backend::kSerial) nk::serial::dot_cols(x, ldx, y, ldy, k, n, out);
+    else blas::dot_cols(x, ldx, y, ldy, k, n, out);
   }
 
   template <class T>
-  void nrm2_cols(const T* x, std::ptrdiff_t ldx, int k, std::size_t n, acc_t<T>* out,
-                 const unsigned char* active = nullptr,
-                 PanelLayout lx = PanelLayout::kRowMajor) const {
-    if (be_ == Backend::kSerial) nk::serial::nrm2_cols(x, ldx, k, n, out, active, lx);
-    else blas::nrm2_cols(x, ldx, k, n, out, active, lx);
+  void nrm2_cols(const T* x, std::ptrdiff_t ldx, int k, std::size_t n, acc_t<T>* out) const {
+    if (be_ == Backend::kSerial) nk::serial::nrm2_cols(x, ldx, k, n, out);
+    else blas::nrm2_cols(x, ldx, k, n, out);
   }
 
   template <class TX, class TY, class S>
   void axpy_cols(const S* alpha, const TX* x, std::ptrdiff_t ldx, TY* yp,
-                 std::ptrdiff_t ldy, int k, std::size_t n,
-                 const unsigned char* active = nullptr, const int* ymap = nullptr,
-                 PanelLayout lx = PanelLayout::kRowMajor,
-                 PanelLayout ly = PanelLayout::kRowMajor) const {
-    if (be_ == Backend::kSerial)
-      nk::serial::axpy_cols(alpha, x, ldx, yp, ldy, k, n, active, ymap, lx, ly);
-    else
-      blas::axpy_cols(alpha, x, ldx, yp, ldy, k, n, active, ymap, lx, ly);
+                 std::ptrdiff_t ldy, int k, std::size_t n, const int* ymap = nullptr) const {
+    if (be_ == Backend::kSerial) nk::serial::axpy_cols(alpha, x, ldx, yp, ldy, k, n, ymap);
+    else blas::axpy_cols(alpha, x, ldx, yp, ldy, k, n, ymap);
   }
 
   template <class TX, class TY, class S>
   void axpby_cols(const S* alpha, const TX* x, std::ptrdiff_t ldx, const S* beta, TY* yp,
-                  std::ptrdiff_t ldy, int k, std::size_t n,
-                  const unsigned char* active = nullptr,
-                  PanelLayout lx = PanelLayout::kRowMajor,
-                  PanelLayout ly = PanelLayout::kRowMajor) const {
-    if (be_ == Backend::kSerial)
-      nk::serial::axpby_cols(alpha, x, ldx, beta, yp, ldy, k, n, active, lx, ly);
-    else
-      blas::axpby_cols(alpha, x, ldx, beta, yp, ldy, k, n, active, lx, ly);
+                  std::ptrdiff_t ldy, int k, std::size_t n) const {
+    if (be_ == Backend::kSerial) nk::serial::axpby_cols(alpha, x, ldx, beta, yp, ldy, k, n);
+    else blas::axpby_cols(alpha, x, ldx, beta, yp, ldy, k, n);
   }
 
   // ---- non-finite guards (backend-neutral scans) -------------------------
@@ -191,9 +174,8 @@ class Kernels {
 
   template <class T>
   [[nodiscard]] int first_nonfinite_col(const T* p, std::ptrdiff_t ld, int k,
-                                        std::size_t n,
-                                        PanelLayout lay = PanelLayout::kRowMajor) const {
-    return blas::first_nonfinite_col(p, ld, k, n, lay);
+                                        std::size_t n) const {
+    return blas::first_nonfinite_col(p, ld, k, n);
   }
 
   // ---- sparse products ---------------------------------------------------
@@ -233,10 +215,9 @@ class Kernels {
 
   template <class MT, class XT, class YT>
   void spmm(const CsrMatrix<MT>& a, const XT* x, std::ptrdiff_t ldx, YT* y,
-            std::ptrdiff_t ldy, int k, PanelLayout lx = PanelLayout::kRowMajor,
-            PanelLayout ly = PanelLayout::kRowMajor) const {
-    if (be_ == Backend::kSerial) nk::serial::spmm(a, x, ldx, y, ldy, k, lx, ly);
-    else nk::spmm(a, x, ldx, y, ldy, k, lx, ly);
+            std::ptrdiff_t ldy, int k) const {
+    if (be_ == Backend::kSerial) nk::serial::spmm(a, x, ldx, y, ldy, k);
+    else nk::spmm(a, x, ldx, y, ldy, k);
   }
 
   template <class MT, class XT, class YT>

@@ -30,7 +30,6 @@
 
 #include "base/blas1.hpp"
 #include "base/half.hpp"
-#include "base/panel.hpp"
 
 #ifdef _OPENMP
 #include <omp.h>
@@ -273,21 +272,13 @@ void axpy_many(const TV* v, std::ptrdiff_t ld, int k, const S* h, std::span<TW> 
 // Multi-RHS column kernels — the batched-solve hot path.
 //
 // A batched solver advances k independent right-hand sides in lockstep
-// through k-column panels; the default kRowMajor layout keeps column c
-// contiguous at x + c·ld, while kColMajor interleaves the columns so the
-// live set of a compacted panel streams unit-stride (see panel.hpp).  The
-// kernels below fuse the k per-column BLAS-1 calls of one solver step into
-// a single parallel region.  Element-local kernels (axpy_cols / axpby_cols)
+// through k-column panels, column c contiguous at x + c·ld.  The kernels
+// below fuse the k per-column BLAS-1 calls of one solver step into a
+// single parallel region.  Element-local kernels (axpy_cols / axpby_cols)
 // are bit-identical to the per-column blas1 calls they replace at any
 // thread count; dot_cols reproduces the SERIAL blas::dot accumulation
 // order per column exactly (each column is reduced by one thread), which
 // is the deterministic contract the conformance tests pin.
-//
-// `active` (optional) masks columns out of the update entirely — a batched
-// solver freezes a column the moment it converges or breaks down, and a
-// frozen column's data must not be touched (it may hold non-finite values
-// after a breakdown, so even a mathematically-neutral `+= 0·x` would
-// corrupt it with NaNs).
 // ---------------------------------------------------------------------------
 
 /// Column-group width of the reduction kernels' stack accumulators; wider
@@ -303,172 +294,79 @@ namespace block_detail {
 /// becomes throughput-bound instead of latency-bound.  Deliberately
 /// serial: determinism of the batched path must not depend on the OpenMP
 /// team, and the reduction is a small slice of a batched solver step.
-///
-/// LX / LY select each panel's layout (see panel.hpp); only the addressing
-/// changes with layout, never the per-column accumulation order, so both
-/// layouts produce bit-identical results.  Under kColMajor with a pinned
-/// KC the inner column loop reads unit-stride — the layout compacted
-/// survivor panels use to stream exactly the live columns.
-template <PanelLayout LX, PanelLayout LY, class TX, class TY, class W, int KC>
+template <class TX, class TY, class W, int KC>
 inline void dot_cols_group(const TX* __restrict x, std::ptrdiff_t ldx,
                            const TY* __restrict y, std::ptrdiff_t ldy, int k_dyn,
                            std::ptrdiff_t nn, W* __restrict out) {
   const int k = KC > 0 ? KC : k_dyn;
   if constexpr (sizeof(TX) == 2 || sizeof(TY) == 2) {
     // fp16 operands: converting inside the arithmetic loop scalarizes into
-    // a serial vcvtsh2ss chain under GCC 12 (~1 GB/s), so the two common
-    // panel shapes tile-convert through the vectorized F16C helpers first
-    // and accumulate on the converted chunks.  half→float conversion is
+    // a serial vcvtsh2ss chain under GCC 12 (~1 GB/s), so each column is
+    // tile-converted through the vectorized F16C helpers first and
+    // accumulated on the converted chunks.  half→float conversion is
     // value-exact and kTile is a multiple of 4, so the four-lane chain
     // each column's elements land in (lane = global i mod 4, tail to lane
-    // 0) — and hence the result bits — are exactly the in-loop path's.
-    W acc[4][kColsMax] = {};
-    bool tiled = false;
-    if constexpr (LX == PanelLayout::kRowMajor && LY == PanelLayout::kRowMajor) {
-      // Contiguous columns: convert each column in kTile chunks.
-      W xb[kTile], yb[kTile];
-      for (int c = 0; c < k; ++c) {
-        const TX* __restrict xc = x + static_cast<std::ptrdiff_t>(c) * ldx;
-        const TY* __restrict yc = y + static_cast<std::ptrdiff_t>(c) * ldy;
-        W a0{}, a1{}, a2{}, a3{};
-        for (std::ptrdiff_t t0 = 0; t0 < nn; t0 += kTile) {
-          const std::ptrdiff_t len = std::min(t0 + kTile, nn) - t0;
-          const W* __restrict xv = to_acc_chunk(xc + t0, xb, len);
-          const W* __restrict yv = to_acc_chunk(yc + t0, yb, len);
-          std::ptrdiff_t i = 0;
-          for (; i + 4 <= len; i += 4) {
-            a0 += xv[i] * yv[i];
-            a1 += xv[i + 1] * yv[i + 1];
-            a2 += xv[i + 2] * yv[i + 2];
-            a3 += xv[i + 3] * yv[i + 3];
-          }
-          for (; i < len; ++i) a0 += xv[i] * yv[i];  // only the final tile is ragged
+    // 0) — and hence the result bits — are exactly blas::dot's.
+    W xb[kTile], yb[kTile];
+    for (int c = 0; c < k; ++c) {
+      const TX* __restrict xc = x + static_cast<std::ptrdiff_t>(c) * ldx;
+      const TY* __restrict yc = y + static_cast<std::ptrdiff_t>(c) * ldy;
+      W a0{}, a1{}, a2{}, a3{};
+      for (std::ptrdiff_t t0 = 0; t0 < nn; t0 += kTile) {
+        const std::ptrdiff_t len = std::min(t0 + kTile, nn) - t0;
+        const W* __restrict xv = to_acc_chunk(xc + t0, xb, len);
+        const W* __restrict yv = to_acc_chunk(yc + t0, yb, len);
+        std::ptrdiff_t i = 0;
+        for (; i + 4 <= len; i += 4) {
+          a0 += xv[i] * yv[i];
+          a1 += xv[i + 1] * yv[i + 1];
+          a2 += xv[i + 2] * yv[i + 2];
+          a3 += xv[i + 3] * yv[i + 3];
         }
-        acc[0][c] = a0;
-        acc[1][c] = a1;
-        acc[2][c] = a2;
-        acc[3][c] = a3;
+        for (; i < len; ++i) a0 += xv[i] * yv[i];  // only the final tile is ragged
       }
-      tiled = true;
-    } else if constexpr (LX == PanelLayout::kColMajor && LY == PanelLayout::kColMajor) {
-      if (ldx == k && ldy == k) {
-        // Fully-interleaved panels covering the whole group: a block of
-        // rows is one contiguous run of rows·k elements — convert it
-        // whole.  Row tiles stay multiples of 4 so lane assignment is
-        // unchanged across chunk boundaries.
-        const std::ptrdiff_t rows = std::max<std::ptrdiff_t>(kTile / k & ~std::ptrdiff_t{3}, 4);
-        W xb[kTile], yb[kTile];
-        for (std::ptrdiff_t t0 = 0; t0 < nn; t0 += rows) {
-          const std::ptrdiff_t len = std::min(t0 + rows, nn) - t0;
-          const W* __restrict xv = to_acc_chunk(x + t0 * k, xb, len * k);
-          const W* __restrict yv = to_acc_chunk(y + t0 * k, yb, len * k);
-          std::ptrdiff_t i = 0;
-          for (; i + 4 <= len; i += 4) {
-            for (int j = 0; j < 4; ++j) {
-              W* __restrict lane = acc[j];
-              const W* __restrict xr = xv + (i + j) * k;
-              const W* __restrict yr = yv + (i + j) * k;
-              for (int c = 0; c < k; ++c) lane[c] += xr[c] * yr[c];
-            }
-          }
-          for (; i < len; ++i)
-            for (int c = 0; c < k; ++c) acc[0][c] += xv[i * k + c] * yv[i * k + c];
-        }
-        tiled = true;
-      }
+      out[c] = (a0 + a1) + (a2 + a3);
     }
-    if (!tiled) {
-      // Mixed layouts / strided interleave (group narrower than the panel):
-      // the generic addressed sweep — same chains, scalar conversions.
-      std::ptrdiff_t i = 0;
-      for (; i + 4 <= nn; i += 4) {
-        for (int j = 0; j < 4; ++j) {
-          W* __restrict lane = acc[j];
-          for (int c = 0; c < k; ++c)
-            lane[c] += static_cast<W>(*panel_at<LX>(x, ldx, c, i + j)) *
-                       static_cast<W>(*panel_at<LY>(y, ldy, c, i + j));
-        }
-      }
-      for (; i < nn; ++i)
-        for (int c = 0; c < k; ++c)
-          acc[0][c] += static_cast<W>(*panel_at<LX>(x, ldx, c, i)) *
-                       static_cast<W>(*panel_at<LY>(y, ldy, c, i));
-    }
-    for (int c = 0; c < k; ++c)
-      out[c] = (acc[0][c] + acc[1][c]) + (acc[2][c] + acc[3][c]);
   } else {
     W acc[kColsMax] = {};
     for (std::ptrdiff_t i = 0; i < nn; ++i)
       for (int c = 0; c < k; ++c)
-        acc[c] += static_cast<W>(*panel_at<LX>(x, ldx, c, i)) *
-                  static_cast<W>(*panel_at<LY>(y, ldy, c, i));
+        acc[c] += static_cast<W>(x[c * ldx + i]) * static_cast<W>(y[c * ldy + i]);
     for (int c = 0; c < k; ++c) out[c] = acc[c];
-  }
-}
-
-/// Layout-pinned dispatcher behind dot_cols: greedy 16/8/4 groups with the
-/// sub-4 tails ALSO pinned (1/2/3) — previously any <4 tail fell into the
-/// dynamic <...,0> kernel, silently losing the unrolled path for odd
-/// widths like k=5,7,9,17 (the post-compaction widths a staggered batch
-/// actually produces).  Group decomposition never changes per-column
-/// results, so every width is now fully unrolled.
-template <PanelLayout LX, PanelLayout LY, class TX, class TY, class W>
-void dot_cols_dispatch(const TX* x, std::ptrdiff_t ldx, const TY* y, std::ptrdiff_t ldy,
-                       int k, std::ptrdiff_t nn, W* out, const unsigned char* active) {
-  W grp[kColsMax];
-  for (int c0 = 0; c0 < k;) {
-    const int kc = greedy_group(k - c0, kColsMax);
-    const TX* xg = LX == PanelLayout::kColMajor ? x + c0 : x + static_cast<std::ptrdiff_t>(c0) * ldx;
-    const TY* yg = LY == PanelLayout::kColMajor ? y + c0 : y + static_cast<std::ptrdiff_t>(c0) * ldy;
-    // Masked columns still participate in the sweep (their chains cost a
-    // few registers, and compacting would change nothing numerically);
-    // only the result store honors the mask.
-    switch (kc) {
-      case 1: dot_cols_group<LX, LY, TX, TY, W, 1>(xg, ldx, yg, ldy, kc, nn, grp); break;
-      case 2: dot_cols_group<LX, LY, TX, TY, W, 2>(xg, ldx, yg, ldy, kc, nn, grp); break;
-      case 3: dot_cols_group<LX, LY, TX, TY, W, 3>(xg, ldx, yg, ldy, kc, nn, grp); break;
-      case 4: dot_cols_group<LX, LY, TX, TY, W, 4>(xg, ldx, yg, ldy, kc, nn, grp); break;
-      case 8: dot_cols_group<LX, LY, TX, TY, W, 8>(xg, ldx, yg, ldy, kc, nn, grp); break;
-      case kColsMax:
-        dot_cols_group<LX, LY, TX, TY, W, kColsMax>(xg, ldx, yg, ldy, kc, nn, grp);
-        break;
-      default: dot_cols_group<LX, LY, TX, TY, W, 0>(xg, ldx, yg, ldy, kc, nn, grp); break;
-    }
-    for (int c = 0; c < kc; ++c)
-      if (active == nullptr || active[c0 + c]) out[c0 + c] = grp[c];
-    c0 += kc;
   }
 }
 
 }  // namespace block_detail
 
-/// out[c] = Σ_i x_c[i]·y_c[i] for c in [0, k), panels addressed per
-/// lx/ly (see panel.hpp; ldx/ldy are the layout's leading dimension).
-/// Per column bit-identical to SINGLE-THREADED blas::dot (including the
-/// four-way fp16 unroll) at any k and either layout: only the schedule
-/// across columns and the addressing differ.  `active` masks columns out
-/// entirely (their out[] untouched).
+/// out[c] = Σ_i x_c[i]·y_c[i] for c in [0, k).  Per column bit-identical
+/// to SINGLE-THREADED blas::dot (including the four-way fp16 unroll) at
+/// any k: only the schedule across columns differs.  Greedy 16/8/4 groups
+/// with the sub-4 tails also pinned (1/2/3), so every width — including
+/// the odd post-compaction widths a staggered batch produces — runs fully
+/// unrolled; group decomposition never changes per-column results.
 template <class TX, class TY>
 void dot_cols(const TX* x, std::ptrdiff_t ldx, const TY* y, std::ptrdiff_t ldy, int k,
-              std::size_t n, acc_t<promote_t<TX, TY>>* out,
-              const unsigned char* active = nullptr,
-              PanelLayout lx = PanelLayout::kRowMajor,
-              PanelLayout ly = PanelLayout::kRowMajor) {
+              std::size_t n, acc_t<promote_t<TX, TY>>* out) {
   using W = acc_t<promote_t<TX, TY>>;
-  using PL = PanelLayout;
   const std::ptrdiff_t nn = static_cast<std::ptrdiff_t>(n);
-  if (lx == PL::kRowMajor && ly == PL::kRowMajor)
-    block_detail::dot_cols_dispatch<PL::kRowMajor, PL::kRowMajor, TX, TY, W>(
-        x, ldx, y, ldy, k, nn, out, active);
-  else if (lx == PL::kColMajor && ly == PL::kColMajor)
-    block_detail::dot_cols_dispatch<PL::kColMajor, PL::kColMajor, TX, TY, W>(
-        x, ldx, y, ldy, k, nn, out, active);
-  else if (lx == PL::kColMajor)
-    block_detail::dot_cols_dispatch<PL::kColMajor, PL::kRowMajor, TX, TY, W>(
-        x, ldx, y, ldy, k, nn, out, active);
-  else
-    block_detail::dot_cols_dispatch<PL::kRowMajor, PL::kColMajor, TX, TY, W>(
-        x, ldx, y, ldy, k, nn, out, active);
+  for (int c0 = 0; c0 < k;) {
+    const int kc = greedy_group(k - c0, kColsMax);
+    const TX* xg = x + static_cast<std::ptrdiff_t>(c0) * ldx;
+    const TY* yg = y + static_cast<std::ptrdiff_t>(c0) * ldy;
+    W* og = out + c0;
+    switch (kc) {
+      case 1: block_detail::dot_cols_group<TX, TY, W, 1>(xg, ldx, yg, ldy, kc, nn, og); break;
+      case 2: block_detail::dot_cols_group<TX, TY, W, 2>(xg, ldx, yg, ldy, kc, nn, og); break;
+      case 3: block_detail::dot_cols_group<TX, TY, W, 3>(xg, ldx, yg, ldy, kc, nn, og); break;
+      case 4: block_detail::dot_cols_group<TX, TY, W, 4>(xg, ldx, yg, ldy, kc, nn, og); break;
+      case 8: block_detail::dot_cols_group<TX, TY, W, 8>(xg, ldx, yg, ldy, kc, nn, og); break;
+      case kColsMax:
+        block_detail::dot_cols_group<TX, TY, W, kColsMax>(xg, ldx, yg, ldy, kc, nn, og);
+        break;
+      default: block_detail::dot_cols_group<TX, TY, W, 0>(xg, ldx, yg, ldy, kc, nn, og); break;
+    }
+    c0 += kc;
+  }
 }
 
 /// out[c] = ‖x_c‖₂ for c in [0, k): per column bit-identical to
@@ -476,63 +374,27 @@ void dot_cols(const TX* x, std::ptrdiff_t ldx, const TY* y, std::ptrdiff_t ldy, 
 /// interleaved sweep (x·x is nrm2's accumulation exactly, lane grouping
 /// included), followed by the same double-rounded sqrt store.
 template <class T>
-void nrm2_cols(const T* x, std::ptrdiff_t ldx, int k, std::size_t n, acc_t<T>* out,
-               const unsigned char* active = nullptr,
-               PanelLayout lx = PanelLayout::kRowMajor) {
+void nrm2_cols(const T* x, std::ptrdiff_t ldx, int k, std::size_t n, acc_t<T>* out) {
   using W = acc_t<T>;
-  W sq[kColsMax];
-  for (int c0 = 0; c0 < k; c0 += kColsMax) {
-    const int kc = std::min(k - c0, kColsMax);
-    const T* xg = lx == PanelLayout::kColMajor ? x + c0
-                                               : x + static_cast<std::ptrdiff_t>(c0) * ldx;
-    dot_cols(xg, ldx, xg, ldx, kc, n, sq, nullptr, lx, lx);
-    for (int c = 0; c < kc; ++c)
-      if (active == nullptr || active[c0 + c])
-        out[c0 + c] = static_cast<W>(std::sqrt(static_cast<double>(sq[c])));
-  }
+  dot_cols(x, ldx, x, ldx, k, n, out);
+  for (int c = 0; c < k; ++c) out[c] = static_cast<W>(std::sqrt(static_cast<double>(out[c])));
 }
 
-/// y_c += alpha[c]·x_c for every unmasked column — k axpys in one parallel
-/// region, each element rounded exactly as blas::axpy's store rounds it.
-/// `ymap` (optional) is the compaction layer's active→original index map:
-/// column c of X updates y column ymap[c] instead of c, so a compacted
-/// panel can scatter into caller-side storage laid out at original column
-/// positions without staging copies.
+/// y_c += alpha[c]·x_c for every column — k axpys in one parallel region,
+/// each element rounded exactly as blas::axpy's store rounds it.  `ymap`
+/// (optional) is the compaction layer's slot→original index map: column
+/// c of X updates y column ymap[c] instead of c, so a compacted panel can
+/// scatter into caller-side storage laid out at original column positions
+/// without staging copies.
 template <class TX, class TY, class S>
 void axpy_cols(const S* alpha, const TX* x, std::ptrdiff_t ldx, TY* yp,
-               std::ptrdiff_t ldy, int k, std::size_t n,
-               const unsigned char* active = nullptr, const int* ymap = nullptr,
-               PanelLayout lx = PanelLayout::kRowMajor,
-               PanelLayout ly = PanelLayout::kRowMajor) {
+               std::ptrdiff_t ldy, int k, std::size_t n, const int* ymap = nullptr) {
   using W = promote_t<promote_t<TX, TY>, S>;
   const std::ptrdiff_t len = static_cast<std::ptrdiff_t>(n);
-  if (lx == PanelLayout::kColMajor || ly == PanelLayout::kColMajor) {
-    // Interleaved panels: i-outer / column-inner, unit-stride across the
-    // live columns when both sides are interleaved.  Element-local math is
-    // the row-major path's exactly (fp16 conversions are value-exact and
-    // the float→half store rounds identically to float_to_half_n), so the
-    // layouts agree bit-for-bit at any thread count.
-#pragma omp parallel for schedule(static) if (static_cast<std::ptrdiff_t>(k) * len > parallel_threshold())
-    for (std::ptrdiff_t t0 = 0; t0 < len; t0 += block_detail::kTile) {
-      const std::ptrdiff_t t1 = std::min(t0 + block_detail::kTile, len);
-      for (std::ptrdiff_t i = t0; i < t1; ++i) {
-        for (int c = 0; c < k; ++c) {
-          if (active != nullptr && !active[c]) continue;
-          const std::ptrdiff_t yc = ymap != nullptr ? ymap[c] : c;
-          const TX xv = *panel_at(x, ldx, lx, c, i);
-          TY* y = panel_at(yp, ldy, ly, yc, i);
-          *y = static_cast<TY>(static_cast<W>(*y) +
-                               static_cast<W>(alpha[c]) * static_cast<W>(xv));
-        }
-      }
-    }
-    return;
-  }
 #pragma omp parallel for schedule(static) if (static_cast<std::ptrdiff_t>(k) * len > parallel_threshold())
   for (std::ptrdiff_t t0 = 0; t0 < len; t0 += block_detail::kTile) {
     const std::ptrdiff_t tl = std::min(t0 + block_detail::kTile, len) - t0;
     for (int c = 0; c < k; ++c) {
-      if (active != nullptr && !active[c]) continue;
       const W a = static_cast<W>(alpha[c]);
       const std::ptrdiff_t yc_idx = ymap != nullptr ? ymap[c] : c;
       const TX* __restrict xc = x + static_cast<std::ptrdiff_t>(c) * ldx + t0;
@@ -556,38 +418,17 @@ void axpy_cols(const S* alpha, const TX* x, std::ptrdiff_t ldx, TY* yp,
   }
 }
 
-/// y_c = alpha[c]·x_c + beta[c]·y_c for every unmasked column (the CG /
-/// BiCGStab direction update, batched).  Element-local like blas::axpby.
+/// y_c = alpha[c]·x_c + beta[c]·y_c for every column (the CG / BiCGStab
+/// direction update, batched).  Element-local like blas::axpby.
 template <class TX, class TY, class S>
 void axpby_cols(const S* alpha, const TX* x, std::ptrdiff_t ldx, const S* beta, TY* yp,
-                std::ptrdiff_t ldy, int k, std::size_t n,
-                const unsigned char* active = nullptr,
-                PanelLayout lx = PanelLayout::kRowMajor,
-                PanelLayout ly = PanelLayout::kRowMajor) {
+                std::ptrdiff_t ldy, int k, std::size_t n) {
   using W = promote_t<promote_t<TX, TY>, S>;
   const std::ptrdiff_t len = static_cast<std::ptrdiff_t>(n);
-  if (lx == PanelLayout::kColMajor || ly == PanelLayout::kColMajor) {
-    // Interleaved variant — see axpy_cols.
-#pragma omp parallel for schedule(static) if (static_cast<std::ptrdiff_t>(k) * len > parallel_threshold())
-    for (std::ptrdiff_t t0 = 0; t0 < len; t0 += block_detail::kTile) {
-      const std::ptrdiff_t t1 = std::min(t0 + block_detail::kTile, len);
-      for (std::ptrdiff_t i = t0; i < t1; ++i) {
-        for (int c = 0; c < k; ++c) {
-          if (active != nullptr && !active[c]) continue;
-          TY* y = panel_at(yp, ldy, ly, c, i);
-          *y = static_cast<TY>(static_cast<W>(alpha[c]) *
-                                   static_cast<W>(*panel_at(x, ldx, lx, c, i)) +
-                               static_cast<W>(beta[c]) * static_cast<W>(*y));
-        }
-      }
-    }
-    return;
-  }
 #pragma omp parallel for schedule(static) if (static_cast<std::ptrdiff_t>(k) * len > parallel_threshold())
   for (std::ptrdiff_t t0 = 0; t0 < len; t0 += block_detail::kTile) {
     const std::ptrdiff_t tl = std::min(t0 + block_detail::kTile, len) - t0;
     for (int c = 0; c < k; ++c) {
-      if (active != nullptr && !active[c]) continue;
       const W a = static_cast<W>(alpha[c]), b = static_cast<W>(beta[c]);
       const TX* __restrict xc = x + static_cast<std::ptrdiff_t>(c) * ldx + t0;
       TY* __restrict yc = yp + static_cast<std::ptrdiff_t>(c) * ldy + t0;
@@ -672,27 +513,14 @@ template <class T>
   return false;
 }
 
-/// Panel variant: scan columns [0, k) of a panel addressed per `lay` (see
-/// panel.hpp).  Returns the index of the first column containing a
-/// non-finite value, or -1 when the whole panel is finite.
+/// Panel variant: scan columns [0, k) of a panel (column c at p + c·ld).
+/// Returns the index of the first column containing a non-finite value, or
+/// -1 when the whole panel is finite.
 template <class T>
-[[nodiscard]] int first_nonfinite_col(const T* p, std::ptrdiff_t ld, int k, std::size_t n,
-                                      PanelLayout lay = PanelLayout::kRowMajor) {
-  const std::ptrdiff_t len = static_cast<std::ptrdiff_t>(n);
-  if (lay == PanelLayout::kRowMajor) {
-    for (int c = 0; c < k; ++c)
-      if (has_nonfinite(std::span<const T>(p + static_cast<std::ptrdiff_t>(c) * ld,
-                                           static_cast<std::size_t>(len))))
-        return c;
-    return -1;
-  }
-  // Interleaved: one pass over the storage, per-column verdicts.
-  for (int c = 0; c < k; ++c) {
-    int bad = 0;
-    for (std::ptrdiff_t i = 0; i < len; ++i)
-      bad |= !block_detail::finite_one(p[i * ld + c]);
-    if (bad != 0) return c;
-  }
+[[nodiscard]] int first_nonfinite_col(const T* p, std::ptrdiff_t ld, int k, std::size_t n) {
+  for (int c = 0; c < k; ++c)
+    if (has_nonfinite(std::span<const T>(p + static_cast<std::ptrdiff_t>(c) * ld, n)))
+      return c;
   return -1;
 }
 

@@ -60,7 +60,6 @@
 
 #include "base/backend.hpp"
 #include "base/env.hpp"
-#include "base/panel.hpp"
 
 namespace nk {
 
@@ -145,12 +144,6 @@ class SolverWorkspace {
     allocations_ = 0;
   }
 
-  /// Default layout for the batched panels solvers carve out of this
-  /// workspace.  Solvers whose spec leaves the layout unset inherit this;
-  /// an explicit `;layout=` spec option overrides per solver.
-  [[nodiscard]] PanelLayout panel_layout() const { return panel_layout_; }
-  void set_panel_layout(PanelLayout l) { panel_layout_ = l; }
-
   /// Execution-space backend the owning pipeline was built for.  Solvers
   /// and operators built over this workspace read it in setup(); Session
   /// resolves it (spec > NKRYLOV_BACKEND > host) before minting the engine.
@@ -176,7 +169,6 @@ class SolverWorkspace {
   // use, and key count is small (a handful of buffers per solver level).
   std::map<std::string, Slab, std::less<>> slabs_;
   std::uint64_t allocations_ = 0;
-  PanelLayout panel_layout_ = PanelLayout::kRowMajor;
   Backend backend_ = Backend::kHost;
 };
 

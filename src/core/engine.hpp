@@ -9,6 +9,8 @@
 // constructing an engine is cheap and repeated solves reuse memory.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <span>
 #include <string>
 #include <vector>
@@ -30,12 +32,22 @@ class SolverEngine {
   virtual SolveResult solve(std::span<const double> b, std::span<double> x) = 0;
 
   /// Batched solve: k right-hand sides, column c of B/X contiguous at
-  /// offset c·n.  Kinds with a batched kernel path (cg, bicgstab, the
-  /// nested tuples) share every matrix/factor sweep across the batch and
-  /// stay per-column bit-identical to solve(); the remaining kinds run the
-  /// columns sequentially through solve() with shared setup.
+  /// offset c·n (Session passes spans of exactly k·n entries).  Kinds with
+  /// a batched kernel path (cg, bicgstab, the nested tuples) override this
+  /// to share every matrix/factor sweep across the batch and stay
+  /// per-column bit-identical to solve(); the default runs the columns
+  /// sequentially through solve() (per-column restart targets differ, and
+  /// setup is amortized by the shared problem and workspace).
   virtual std::vector<SolveResult> solve_many(std::span<const double> B,
-                                              std::span<double> X, int k) = 0;
+                                              std::span<double> X, int k) {
+    const std::size_t n = k > 0 ? B.size() / static_cast<std::size_t>(k) : 0;
+    std::vector<SolveResult> res;
+    res.reserve(static_cast<std::size_t>(std::max(k, 0)));
+    for (int c = 0; c < k; ++c)
+      res.push_back(solve(B.subspan(static_cast<std::size_t>(c) * n, n),
+                          X.subspan(static_cast<std::size_t>(c) * n, n)));
+    return res;
+  }
 };
 
 }  // namespace nk

@@ -1,15 +1,12 @@
 // Built-in solver engines and their registry entries.
 //
-// Each engine is the orchestration that used to live in a run_* free
-// function (core/runner.cpp before the descriptor layer), bound to the
-// uniform SolverEngine interface: construct cheaply from a SolverSpec,
-// defer per-solve construction (typed apply handles, operators, Krylov
-// buffers) into solve()/solve_many(), and fill the complete SolveResult
-// (timing, invocation counters, true fp64 residual) exactly as the legacy
-// entry points did — the conformance baseline pins that behavior.
+// Each engine binds one solver kind to the uniform SolverEngine interface:
+// construct cheaply from a SolverSpec, defer per-solve construction (typed
+// apply handles, operators, Krylov buffers) into solve()/solve_many(), and
+// fill the complete SolveResult (timing, invocation counters, true fp64
+// residual) — the conformance baseline pins that behavior.
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "backend/kernels.hpp"
 #include "base/backend.hpp"
@@ -136,7 +133,6 @@ class FlatKrylovEngine final : public SolverEngine {
     // BiCGStab makes 2 preconditioner calls per iteration: half the cap.
     cfg.max_iters = halve_iters_ ? spec_.max_iters / 2 : spec_.max_iters;
     cfg.record_history = spec_.record_history;
-    cfg.layout = spec_.layout;  // unset → the workspace's panel_layout()
     cfg.stagnate_window = spec_.stagnate_window;
     return cfg;
   }
@@ -183,8 +179,7 @@ class FgmresEngine final : public SolverEngine {
       const double target = spec_.rtol * bref;
       std::vector<double> estimates;
       solver.set_iteration_log(&estimates);
-      double stag_best = std::numeric_limits<double>::infinity();
-      int stall = 0;
+      StagnationGuard stag;
       bool x_nonzero = false;
       while (r.iterations < spec_.max_iters) {
         const auto stats = solver.run(b, x, target, x_nonzero);
@@ -216,15 +211,7 @@ class FgmresEngine final : public SolverEngine {
         } else {
           r.fail(SolveStatus::kMaxIters);
         }
-        if (spec_.stagnate_window > 0) {
-          if (relres < 0.99 * stag_best) {
-            stag_best = relres;
-            stall = 0;
-          } else if (++stall >= spec_.stagnate_window) {
-            r.fail(SolveStatus::kStagnated, "relres");
-            break;
-          }
-        }
+        if (stag.stalled(r, relres, spec_.stagnate_window, "relres")) break;
         ++r.restarts;
       }
       solver.set_iteration_log(nullptr);
@@ -233,20 +220,6 @@ class FgmresEngine final : public SolverEngine {
       return r;
     });
     res.spmv_count = op.spmv_count();
-    return res;
-  }
-
-  std::vector<SolveResult> solve_many(std::span<const double> B, std::span<double> X,
-                                      int k) override {
-    // Per-column restart targets differ (rtol·‖b_c‖), so the restart loop
-    // runs the columns sequentially; setup (matrix copies, M handles) is
-    // amortized by the shared problem/workspace.
-    const std::size_t n = p_->b.size();
-    std::vector<SolveResult> res;
-    res.reserve(static_cast<std::size_t>(std::max(k, 0)));
-    for (int c = 0; c < k; ++c)
-      res.push_back(solve(B.subspan(static_cast<std::size_t>(c) * n, n),
-                          X.subspan(static_cast<std::size_t>(c) * n, n)));
     return res;
   }
 
@@ -285,17 +258,6 @@ class IrGmresEngine final : public SolverEngine {
     });
   }
 
-  std::vector<SolveResult> solve_many(std::span<const double> B, std::span<double> X,
-                                      int k) override {
-    const std::size_t n = p_->b.size();
-    std::vector<SolveResult> res;
-    res.reserve(static_cast<std::size_t>(std::max(k, 0)));
-    for (int c = 0; c < k; ++c)
-      res.push_back(solve(B.subspan(static_cast<std::size_t>(c) * n, n),
-                          X.subspan(static_cast<std::size_t>(c) * n, n)));
-    return res;
-  }
-
  private:
   template <class VT>
   SolveResult impl(std::span<const double> b, std::span<double> x) {
@@ -316,8 +278,7 @@ class IrGmresEngine final : public SolverEngine {
     const double bnorm = static_cast<double>(kx.nrm2(b));
     const double bref = bnorm > 0.0 ? bnorm : 1.0;
     const int max_outer = std::max(1, spec_.max_iters / spec_.m);
-    double stag_best = std::numeric_limits<double>::infinity();
-    int stall = 0;
+    StagnationGuard stag;
     for (int outer = 0; outer < max_outer; ++outer) {
       op64.residual(b, std::span<const double>(x.data(), n), std::span<double>(rd));
       const double relres =
@@ -332,15 +293,7 @@ class IrGmresEngine final : public SolverEngine {
         r.fail(SolveStatus::kNonFinite, "relres");
         break;
       }
-      if (spec_.stagnate_window > 0) {
-        if (relres < 0.99 * stag_best) {
-          stag_best = relres;
-          stall = 0;
-        } else if (++stall >= spec_.stagnate_window) {
-          r.fail(SolveStatus::kStagnated, "relres");
-          break;
-        }
-      }
+      if (stag.stalled(r, relres, spec_.stagnate_window, "relres")) break;
       // Low-precision correction solve A c ≈ r.  The residual is normalized
       // before the downcast — late-stage residuals (~1e-8·‖b‖) would land in
       // fp16's subnormal range and stall the refinement otherwise.

@@ -121,15 +121,6 @@ class FaultyPreconditioner final : public Preconditioner<VT> {
     if (fires())
       for (int c = 0; c < k; ++c) poison(z + static_cast<std::ptrdiff_t>(c) * ldz);
   }
-  void apply_many_layout(const VT* r, std::ptrdiff_t ldr, VT* z, std::ptrdiff_t ldz,
-                         int k, PanelLayout layout) override {
-    inner_->apply_many_layout(r, ldr, z, ldz, k, layout);
-    if (fires())
-      for (int c = 0; c < k; ++c)
-        poison(layout == PanelLayout::kRowMajor
-                   ? z + static_cast<std::ptrdiff_t>(c) * ldz
-                   : z + c);
-  }
   [[nodiscard]] index_t size() const override { return inner_->size(); }
 
  private:
@@ -169,14 +160,6 @@ class FaultyOperator final : public Operator<VT> {
     inner_->residual_many(b, ldb, x, ldx, r, ldr, k);
     if (fires())
       for (int c = 0; c < k; ++c) poison(r + static_cast<std::ptrdiff_t>(c) * ldr);
-  }
-  void apply_many_layout(const VT* x, std::ptrdiff_t ldx, VT* y, std::ptrdiff_t ldy,
-                         int k, PanelLayout lx, PanelLayout ly) override {
-    inner_->apply_many_layout(x, ldx, y, ldy, k, lx, ly);
-    if (fires())
-      for (int c = 0; c < k; ++c)
-        poison(ly == PanelLayout::kRowMajor ? y + static_cast<std::ptrdiff_t>(c) * ldy
-                                            : y + c);
   }
   [[nodiscard]] index_t size() const override { return inner_->size(); }
 

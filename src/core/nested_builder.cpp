@@ -252,8 +252,7 @@ SolveResult NestedSolver::solve(std::span<const double> b, std::span<double> x,
   // Restart loop with status attribution: convergence is judged on the
   // true fp64 residual only; the outer cycle's terminal markers (Arnoldi
   // breakdown / non-finite norm) name WHY a failed attempt stopped.
-  double stag_best = std::numeric_limits<double>::infinity();
-  int stall = 0;
+  StagnationGuard stag;
   bool x_nonzero = kx_.nrm2(std::span<const double>(x.data(), x.size())) > 0.0;
   for (int cycle = 0; cycle <= term.max_restarts; ++cycle) {
     const auto stats = outer_->run(b, x, target, x_nonzero);
@@ -282,15 +281,7 @@ SolveResult NestedSolver::solve(std::span<const double> b, std::span<double> x,
     } else {
       res.fail(SolveStatus::kMaxIters);
     }
-    if (term.stagnate_window > 0) {
-      if (relres < 0.99 * stag_best) {
-        stag_best = relres;
-        stall = 0;
-      } else if (++stall >= term.stagnate_window) {
-        res.fail(SolveStatus::kStagnated, "relres");
-        break;
-      }
-    }
+    if (stag.stalled(res, relres, term.stagnate_window, "relres")) break;
   }
   outer_->set_iteration_log(nullptr);
 

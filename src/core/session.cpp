@@ -27,15 +27,12 @@ Backend resolve_session_backend(const std::optional<Backend>& from_spec,
   return Backend::kHost;
 }
 
-/// The spec's `;layout=` option doubles as the session workspace default,
-/// so solvers that resolve their layout from the workspace (nested tuples,
-/// FGMRES gather panels) honor it too.  The resolved backend is likewise a
-/// workspace property: every engine, handle, and operator minted for this
-/// Session reads it from here (first-touch policy included).
+/// The resolved backend is a workspace property: every engine, handle,
+/// and operator minted for this Session reads it from here (first-touch
+/// policy included).
 std::unique_ptr<SolverWorkspace> make_session_workspace(const SolverSpec& spec,
                                                         std::string* backend_err) {
   auto ws = std::make_unique<SolverWorkspace>();
-  if (spec.layout.has_value()) ws->set_panel_layout(*spec.layout);
   ws->set_backend(resolve_session_backend(spec.backend, backend_err));
   return ws;
 }
@@ -172,7 +169,7 @@ std::vector<SolveResult> Session::solve_many(std::span<const double> B,
     return std::vector<SolveResult>(static_cast<std::size_t>(k),
                                     invalid_input("size-mismatch"));
 
-  std::vector<SolveResult> res = engine_->solve_many(B, X, k);
+  std::vector<SolveResult> res = engine_->solve_many(B.first(need), X.first(need), k);
   if (!spec_.fallback.empty()) {
     // Per-column recovery: a poisoned column was retired by the batched
     // scheduler without freezing its wave; re-solve just that column

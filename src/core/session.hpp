@@ -4,8 +4,7 @@
 // primary preconditioner (built from the spec, or borrowed from the
 // caller), a grow-only SolverWorkspace, and the type-erased solver engine
 // the registry minted for the spec.  Single- and multi-RHS solves (ragged
-// waves and survivor-panel layout, both named by the spec) then run
-// through one uniform surface:
+// waves named by the spec) then run through one uniform surface:
 //
 //   nk::PreparedProblem p = nk::prepare_standin("ecology2", 1);
 //   nk::Session s(p, nk::SolverSpec::parse("f3r@fp16"));
@@ -107,9 +106,9 @@ class Session {
   SolveResult solve(std::span<const double> b, std::span<double> x);
 
   /// Batched solve: k right-hand sides, column c of B/X contiguous at
-  /// offset c·n.  Wave width and panel layout come from the spec
-  /// ("...;wave=8", "...;layout=colmajor").  k ≤ 0 returns an empty vector;
-  /// size mismatches return k kInvalidInput results.  Under ";fallback="
+  /// offset c·n.  Wave width comes from the spec ("...;wave=8").  k ≤ 0
+  /// returns an empty vector; size mismatches return k kInvalidInput
+  /// results.  Under ";fallback="
   /// every retired non_finite/breakdown column is re-solved individually
   /// through the scalar escalation ladder.
   std::vector<SolveResult> solve_many(std::span<const double> B, std::span<double> X,

@@ -156,15 +156,6 @@ void apply_option(const Option& o, SolverSpec* s, PrecondSpec* pc) {
       s->record_history = false;
       return;
     }
-    if (o.key == "layout") {
-      const std::string v = require_value(o);
-      const auto l = parse_panel_layout(v);
-      if (!l.has_value())
-        throw SpecError("bad value '" + v +
-                        "' for spec option layout (expected rowmajor|colmajor)");
-      s->layout = *l;
-      return;
-    }
     if (o.key == "stagnate-window") {
       s->stagnate_window = parse_int_opt(o.key, require_value(o), 0);
       return;
@@ -214,7 +205,7 @@ void apply_option(const Option& o, SolverSpec* s, PrecondSpec* pc) {
   throw SpecError(
       "unknown spec option '" + o.key +
       (s != nullptr
-           ? "' (solver: rtol max-iters restarts wave nohist layout "
+           ? "' (solver: rtol max-iters restarts wave nohist "
              "stagnate-window fallback backend; "
              "preconditioner: nblocks omega degree inject inner)"
            : "' (preconditioner options: nblocks omega degree inject inner)"));
@@ -358,7 +349,6 @@ std::string SolverSpec::to_string() const {
   if (max_restarts != def.max_restarts) s += ";restarts=" + std::to_string(max_restarts);
   if (!record_history) s += ";nohist";
   if (wave != def.wave) s += ";wave=" + std::to_string(wave);
-  if (layout.has_value()) s += std::string(";layout=") + panel_layout_name(*layout);
   if (stagnate_window != def.stagnate_window)
     s += ";stagnate-window=" + std::to_string(stagnate_window);
   if (!fallback.empty()) {

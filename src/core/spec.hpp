@@ -24,9 +24,8 @@
 //   backend      := host | omp | serial    (base/backend.hpp)
 //
 // Solver options: rtol=, max-iters=, restarts=, wave=, nohist,
-// layout= (rowmajor|colmajor survivor-panel storage; base/panel.hpp),
-// backend= (execution-space backend; ":NAME" on the head is an alias, and
-// giving both is an error).  An unset backend means "resolve at build
+// stagnate-window=, fallback=, backend= (execution-space backend; ":NAME"
+// on the head is an alias, and giving both is an error).  An unset backend means "resolve at build
 // time": Session falls back to NKRYLOV_BACKEND, then the host default.
 // Preconditioner options: nblocks=, omega=, degree=.  max-iters= caps the
 // flat solvers; the nested kinds bound their outer work by restarts=
@@ -57,7 +56,6 @@
 
 #include "base/backend.hpp"
 #include "base/half.hpp"
-#include "base/panel.hpp"
 
 namespace nk {
 
@@ -107,10 +105,6 @@ struct SolverSpec {
 
   // Batching (solve_many scheduling; see CgSolver).
   int wave = 0;              ///< ragged-wave width (0 = whole batch at once)
-  /// Survivor-panel layout for the batched solvers ("layout=rowmajor" /
-  /// "layout=colmajor"; see base/panel.hpp).  Unset = the workspace default
-  /// (row-major).  Iterates are bit-identical across layouts.
-  std::optional<PanelLayout> layout;
 
   // Resilience policy (the Session-level recovery ladder; see README
   // "Failure modes & recovery").

@@ -22,8 +22,8 @@ namespace {
 constexpr int kProbeIters = 40;
 
 /// The probe variant of a candidate spec: the caller's tolerance, no
-/// history ring, tight work caps.  Everything else (wave/layout/backend)
-/// stays default — probes are scalar solves on the session's workspace.
+/// history ring, tight work caps.  Everything else (wave/backend) stays
+/// default — probes are scalar solves on the session's workspace.
 SolverSpec probe_spec(const Candidate& cand, double rtol) {
   SolverSpec s = cand.spec;
   s.rtol = rtol;
@@ -218,8 +218,8 @@ class AutoEngine final : public SolverEngine {
 
  private:
   /// Rebuild the inner engine for the minimal spec `minimal`, carrying the
-  /// user's option tail (termination, batching, layout, resilience,
-  /// backend) over verbatim.  Sequential rebuild on the shared workspace.
+  /// user's option tail (termination, batching, resilience, backend) over
+  /// verbatim.  Sequential rebuild on the shared workspace.
   void adopt(const SolverSpec& minimal) {
     SolverSpec full = minimal;
     full.rtol = user_.rtol;
@@ -227,7 +227,6 @@ class AutoEngine final : public SolverEngine {
     full.max_restarts = user_.max_restarts;
     full.record_history = user_.record_history;
     full.wave = user_.wave;
-    full.layout = user_.layout;
     full.stagnate_window = user_.stagnate_window;
     full.fallback = user_.fallback;
     full.backend = user_.backend;

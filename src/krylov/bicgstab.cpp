@@ -30,9 +30,7 @@ SolveResult BiCgStabSolver<VT>::solve(std::span<const VT> b, std::span<VT> x) {
     res.mark_converged();
     return res;
   }
-  // Stagnation guard state: comparisons only, never touches the iterates.
-  double stag_best = rnorm;
-  int stall = 0;
+  StagnationGuard stag{rnorm};
 
   S rho{1}, alpha{1}, omega{1};
   kx_.set_zero(p);
@@ -111,15 +109,7 @@ SolveResult BiCgStabSolver<VT>::solve(std::span<const VT> b, std::span<VT> x) {
       res.fail(SolveStatus::kBreakdown, "omega");
       return res;
     }
-    if (cfg_.stagnate_window > 0) {
-      if (rnorm < 0.99 * stag_best) {
-        stag_best = rnorm;
-        stall = 0;
-      } else if (++stall >= cfg_.stagnate_window) {
-        res.fail(SolveStatus::kStagnated, "rnorm");
-        return res;
-      }
-    }
+    if (stag.stalled(res, rnorm, cfg_.stagnate_window, "rnorm")) return res;
   }
   return res;
 }
@@ -161,18 +151,8 @@ std::vector<SolveResult> BiCgStabSolver<VT>::solve_many(const VT* b, std::ptrdif
   auto bref = w.get<double>(key_ + ".bat.bref", ww);
   auto itc = w.get<int>(key_ + ".bat.itc", ww);  // per-column iteration count
   auto map = w.get<int>(key_ + ".bat.map", ww);  // slot → original column
-  auto upd = w.get<unsigned char>(key_ + ".bat.upd", ww);  // direction-update mask
-  auto best = w.get<double>(key_ + ".bat.best", ww);  // stagnation guard state
-  auto stall = w.get<int>(key_ + ".bat.stall", ww);
+  auto stag = w.get<StagnationGuard>(key_ + ".bat.stag", ww);
   const std::ptrdiff_t nld = static_cast<std::ptrdiff_t>(n_);
-
-  // Survivor-panel layout (base/panel.hpp; see CgSolver::solve_many for
-  // the scheme).  Addressing only — iterates are bit-identical.
-  const PanelLayout lay = cfg_.layout.value_or(w.panel_layout());
-  const bool ilv = lay == PanelLayout::kColMajor;
-  const std::ptrdiff_t pld = ilv ? static_cast<std::ptrdiff_t>(W) : nld;
-  std::span<VT> scr;  // contiguous staging for single-column work
-  if (ilv) scr = w.get<VT>(key_ + ".bat.scr", n_);
 
   auto col = [&](std::span<VT> blk, int j) {
     return std::span<VT>(blk.data() + static_cast<std::size_t>(j) * n_, n_);
@@ -186,20 +166,8 @@ std::vector<SolveResult> BiCgStabSolver<VT>::solve_many(const VT* b, std::ptrdif
   auto xcol = [&](int c) {
     return std::span<VT>(x + static_cast<std::ptrdiff_t>(c) * ldx, n_);
   };
-  // Layout-neutral single-column helpers: exact element copies / zeros on
-  // either layout (the kernels the row-major path uses make the same
-  // stores).
   auto copy_col = [&](std::span<VT> src, std::span<VT> dst, int j) {
-    if (ilv)
-      panel_copy_col(src.data(), pld, lay, j, dst.data(), pld, lay, j, nld);
-    else
-      kx_.copy(ccol(src, j), col(dst, j));
-  };
-  auto zero_col = [&](std::span<VT> blk, int j) {
-    if (ilv)
-      for (std::ptrdiff_t i = 0; i < nld; ++i) blk[static_cast<std::size_t>(i * pld + j)] = VT{0};
-    else
-      kx_.set_zero(col(blk, j));
+    kx_.copy(ccol(src, j), col(dst, j));
   };
 
   int na = 0;    // live width
@@ -219,10 +187,7 @@ std::vector<SolveResult> BiCgStabSolver<VT>::solve_many(const VT* b, std::ptrdif
     }
     bref[j] = bnorm > 0.0 ? bnorm : 1.0;
     target[j] = cfg_.rtol * bref[j];
-    // Interleaved: build r in contiguous scratch so the residual and its
-    // norm are the row-major path's operations verbatim, then scatter
-    // (exact copies) into the R and RH panel columns.
-    VT* r0 = ilv ? scr.data() : cptr(R, j);
+    VT* r0 = cptr(R, j);
     a_->residual(std::span<const VT>(b + static_cast<std::ptrdiff_t>(c) * ldb, n_),
                  std::span<const VT>(x + static_cast<std::ptrdiff_t>(c) * ldx, n_),
                  std::span<VT>(r0, n_));
@@ -237,19 +202,13 @@ std::vector<SolveResult> BiCgStabSolver<VT>::solve_many(const VT* b, std::ptrdif
       res[c].mark_converged();
       return false;
     }
-    best[j] = rnorm;
-    stall[j] = 0;
-    if (ilv) {
-      panel_copy_col(r0, nld, PanelLayout::kRowMajor, 0, R.data(), pld, lay, j, nld);
-      panel_copy_col(r0, nld, PanelLayout::kRowMajor, 0, RH.data(), pld, lay, j, nld);
-    } else {
-      kx_.copy(ccol(R, j), col(RH, j));
-    }
+    stag[j] = StagnationGuard{rnorm};
+    copy_col(R, RH, j);
     rho[j] = S{1};
     alpha[j] = S{1};
     omega[j] = S{1};
-    zero_col(P, j);
-    zero_col(V, j);
+    kx_.set_zero(col(P, j));
+    kx_.set_zero(col(V, j));
     return true;
   };
   auto refill = [&]() {
@@ -261,12 +220,8 @@ std::vector<SolveResult> BiCgStabSolver<VT>::solve_many(const VT* b, std::ptrdif
   // tracking which are live where, and retirements are rare.
   auto move_slot = [&](int dst, int src) {
     if (dst == src) return;
-    for (auto* blk : {&R, &RH, &P, &V, &Sv, &T, &PH, &SH}) {
-      if (ilv)
-        panel_copy_col(blk->data(), pld, lay, src, blk->data(), pld, lay, dst, nld);
-      else
-        kx_.copy(ccol(*blk, src), col(*blk, dst));
-    }
+    for (auto* blk : {&R, &RH, &P, &V, &Sv, &T, &PH, &SH})
+      kx_.copy(ccol(*blk, src), col(*blk, dst));
     rho[dst] = rho[src];
     alpha[dst] = alpha[src];
     omega[dst] = omega[src];
@@ -278,9 +233,7 @@ std::vector<SolveResult> BiCgStabSolver<VT>::solve_many(const VT* b, std::ptrdif
     bref[dst] = bref[src];
     itc[dst] = itc[src];
     map[dst] = map[src];
-    upd[dst] = upd[src];
-    best[dst] = best[src];
-    stall[dst] = stall[src];
+    stag[dst] = stag[src];
   };
 
   refill();
@@ -296,7 +249,7 @@ std::vector<SolveResult> BiCgStabSolver<VT>::solve_many(const VT* b, std::ptrdif
     refill();
     if (na == 0) break;
 
-    kx_.dot_cols(RH.data(), pld, R.data(), pld, na, n_, red.data(), nullptr, lay, lay);
+    kx_.dot_cols(RH.data(), nld, R.data(), nld, na, n_, red.data());
     for (int j = 0; j < na;) {
       const int it = ++itc[j];
       res[map[j]].iterations = it;
@@ -310,10 +263,11 @@ std::vector<SolveResult> BiCgStabSolver<VT>::solve_many(const VT* b, std::ptrdif
         continue;
       }
       if (it == 1) {
-        copy_col(R, P, j);
-        upd[j] = 0;
+        // Fresh slot: zero coefficients keep the update below finite on its
+        // zeroed P and V; p = r is copied in after it.
+        sc0[j] = S{0};
+        sc1[j] = S{0};
       } else {
-        upd[j] = 1;
         sc0[j] = -omega[j];
         sc1[j] = (rho_new / rho[j]) * (alpha[j] / omega[j]);  // beta
       }
@@ -321,21 +275,17 @@ std::vector<SolveResult> BiCgStabSolver<VT>::solve_many(const VT* b, std::ptrdif
       ++j;
     }
     if (na == 0) continue;
-    bool any_upd = false;
-    for (int j = 0; j < na; ++j) any_upd = any_upd || upd[j] != 0;
-    if (any_upd) {
-      // p_j = r_j + beta_j (p_j − omega_j v_j) for slots past iteration 1
-      // (freshly injected slots took p = r above, masked out here).
-      kx_.axpy_cols(sc0.data(), V.data(), pld, P.data(), pld, na, n_, upd.data(),
-                      nullptr, lay, lay);
-      for (int j = 0; j < na; ++j) sc0[j] = S{1};
-      kx_.axpby_cols(sc0.data(), R.data(), pld, sc1.data(), P.data(), pld, na, n_,
-                       upd.data(), lay, lay);
-    }
+    // p_j = r_j + beta_j (p_j − omega_j v_j); then p = r for fresh slots,
+    // the copy solve() makes at iteration 1.
+    kx_.axpy_cols(sc0.data(), V.data(), nld, P.data(), nld, na, n_);
+    for (int j = 0; j < na; ++j) sc0[j] = S{1};
+    kx_.axpby_cols(sc0.data(), R.data(), nld, sc1.data(), P.data(), nld, na, n_);
+    for (int j = 0; j < na; ++j)
+      if (itc[j] == 1) copy_col(R, P, j);
 
-    m_->apply_many_layout(P.data(), pld, PH.data(), pld, na, lay);
-    a_->apply_many_layout(PH.data(), pld, V.data(), pld, na, lay, lay);
-    kx_.dot_cols(RH.data(), pld, V.data(), pld, na, n_, red.data(), nullptr, lay, lay);
+    m_->apply_many(P.data(), nld, PH.data(), nld, na);
+    a_->apply_many(PH.data(), nld, V.data(), nld, na);
+    kx_.dot_cols(RH.data(), nld, V.data(), nld, na, n_, red.data());
     for (int j = 0; j < na;) {
       const S rhat_v = red[j];
       if (!std::isfinite(static_cast<double>(rhat_v)) || rhat_v == S{0}) {
@@ -352,21 +302,13 @@ std::vector<SolveResult> BiCgStabSolver<VT>::solve_many(const VT* b, std::ptrdif
       ++j;
     }
     if (na == 0) continue;
-    kx_.axpy_cols(sc0.data(), V.data(), pld, Sv.data(), pld, na, n_, nullptr, nullptr,
-                    lay, lay);
-    kx_.nrm2_cols(Sv.data(), pld, na, n_, red.data(), nullptr, lay);
+    kx_.axpy_cols(sc0.data(), V.data(), nld, Sv.data(), nld, na, n_);
+    kx_.nrm2_cols(Sv.data(), nld, na, n_, red.data());
     for (int j = 0; j < na;) {
       const double snorm = static_cast<double>(red[j]);
       if (snorm <= target[j]) {
         const int c = map[j];
-        // x_c += alpha_j phat_j: a width-1 column axpy.  On the interleaved
-        // layout PH's column j is strided, so this goes through axpy_cols
-        // (the same element math/rounding as kx_.axpy single-column).
-        if (ilv)
-          kx_.axpy_cols(&alpha[j], PH.data() + j, pld, x + static_cast<std::ptrdiff_t>(c) * ldx,
-                          ldx, 1, n_, nullptr, nullptr, lay, PanelLayout::kRowMajor);
-        else
-          kx_.axpy(alpha[j], ccol(PH, j), xcol(c));
+        kx_.axpy(alpha[j], ccol(PH, j), xcol(c));
         if (cfg_.record_history) res[c].history.push_back(snorm / bref[j]);
         res[c].mark_converged();
         move_slot(j, --na);
@@ -376,10 +318,10 @@ std::vector<SolveResult> BiCgStabSolver<VT>::solve_many(const VT* b, std::ptrdif
     }
     if (na == 0) continue;
 
-    m_->apply_many_layout(Sv.data(), pld, SH.data(), pld, na, lay);
-    a_->apply_many_layout(SH.data(), pld, T.data(), pld, na, lay, lay);
-    kx_.dot_cols(T.data(), pld, T.data(), pld, na, n_, red.data(), nullptr, lay, lay);
-    kx_.dot_cols(T.data(), pld, Sv.data(), pld, na, n_, red2.data(), nullptr, lay, lay);
+    m_->apply_many(Sv.data(), nld, SH.data(), nld, na);
+    a_->apply_many(SH.data(), nld, T.data(), nld, na);
+    kx_.dot_cols(T.data(), nld, T.data(), nld, na, n_, red.data());
+    kx_.dot_cols(T.data(), nld, Sv.data(), nld, na, n_, red2.data());
     for (int j = 0; j < na;) {
       const S tt = red[j];
       if (!std::isfinite(static_cast<double>(tt)) || tt == S{0}) {
@@ -397,14 +339,11 @@ std::vector<SolveResult> BiCgStabSolver<VT>::solve_many(const VT* b, std::ptrdif
     if (na == 0) continue;
     // x_{map[j]} += alpha_j phat_j + omega_j shat_j (two chained scattered
     // updates, as in solve()); then r_j = s_j − omega_j t_j.
-    kx_.axpy_cols(alpha.data(), PH.data(), pld, x, ldx, na, n_, nullptr, map.data(),
-                    lay, PanelLayout::kRowMajor);
-    kx_.axpy_cols(omega.data(), SH.data(), pld, x, ldx, na, n_, nullptr, map.data(),
-                    lay, PanelLayout::kRowMajor);
+    kx_.axpy_cols(alpha.data(), PH.data(), nld, x, ldx, na, n_, map.data());
+    kx_.axpy_cols(omega.data(), SH.data(), nld, x, ldx, na, n_, map.data());
     for (int j = 0; j < na; ++j) copy_col(Sv, R, j);
-    kx_.axpy_cols(sc0.data(), T.data(), pld, R.data(), pld, na, n_, nullptr, nullptr,
-                    lay, lay);
-    kx_.nrm2_cols(R.data(), pld, na, n_, red.data(), nullptr, lay);
+    kx_.axpy_cols(sc0.data(), T.data(), nld, R.data(), nld, na, n_);
+    kx_.nrm2_cols(R.data(), nld, na, n_, red.data());
     for (int j = 0; j < na;) {
       const int c = map[j];
       const double rnorm = static_cast<double>(red[j]);
@@ -424,15 +363,9 @@ std::vector<SolveResult> BiCgStabSolver<VT>::solve_many(const VT* b, std::ptrdif
         move_slot(j, --na);
         continue;
       }
-      if (cfg_.stagnate_window > 0) {
-        if (rnorm < 0.99 * best[j]) {
-          best[j] = rnorm;
-          stall[j] = 0;
-        } else if (++stall[j] >= cfg_.stagnate_window) {
-          res[c].fail(SolveStatus::kStagnated, "rnorm");
-          move_slot(j, --na);
-          continue;
-        }
+      if (stag[j].stalled(res[c], rnorm, cfg_.stagnate_window, "rnorm")) {
+        move_slot(j, --na);
+        continue;
       }
       ++j;
     }

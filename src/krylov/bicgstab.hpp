@@ -22,13 +22,11 @@
 #pragma once
 
 #include <cstddef>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "backend/kernels.hpp"
-#include "base/panel.hpp"
 #include "base/workspace.hpp"
 #include "krylov/history.hpp"
 #include "krylov/operator.hpp"
@@ -47,9 +45,6 @@ class BiCgStabSolver {
     /// kStagnated after this many consecutive iterations without relative-
     /// residual progress.  0 = off (default).
     int stagnate_window = 0;
-    /// Survivor-panel layout for the batched solver (see base/panel.hpp
-    /// and CgSolver::Config::layout).  Unset = the workspace default.
-    std::optional<PanelLayout> layout;
   };
 
   /// Deferred-setup construction (no allocation until setup()).

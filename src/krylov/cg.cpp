@@ -27,9 +27,7 @@ SolveResult CgSolver<VT>::solve(std::span<const VT> b, std::span<VT> x) {
     res.mark_converged();
     return res;
   }
-  // Stagnation guard state: comparisons only, never touches the iterates.
-  double best = rnorm;
-  int stall = 0;
+  StagnationGuard stag{rnorm};
 
   m_->apply(std::span<const VT>(r_), z);
   kx_.copy(std::span<const VT>(z_), p);
@@ -61,15 +59,7 @@ SolveResult CgSolver<VT>::solve(std::span<const VT> b, std::span<VT> x) {
       res.mark_converged();
       return res;
     }
-    if (cfg_.stagnate_window > 0) {
-      if (rnorm < 0.99 * best) {
-        best = rnorm;
-        stall = 0;
-      } else if (++stall >= cfg_.stagnate_window) {
-        res.fail(SolveStatus::kStagnated, "rnorm");
-        return res;
-      }
-    }
+    if (stag.stalled(res, rnorm, cfg_.stagnate_window, "rnorm")) return res;
 
     m_->apply(std::span<const VT>(r_), z);
     const auto rz_new = kx_.dot(std::span<const VT>(r_), std::span<const VT>(z_));
@@ -114,22 +104,8 @@ std::vector<SolveResult> CgSolver<VT>::solve_many(const VT* b, std::ptrdiff_t ld
   auto bref = w.get<double>(key_ + ".bat.bref", ww);
   auto itc = w.get<int>(key_ + ".bat.itc", ww);  // per-column iteration count
   auto map = w.get<int>(key_ + ".bat.map", ww);  // slot → original column
-  auto best = w.get<double>(key_ + ".bat.best", ww);  // stagnation guard state
-  auto stall = w.get<int>(key_ + ".bat.stall", ww);
+  auto stag = w.get<StagnationGuard>(key_ + ".bat.stag", ww);
   const std::ptrdiff_t nld = static_cast<std::ptrdiff_t>(n_);
-
-  // Survivor-panel layout (base/panel.hpp): row-major columns (the seed
-  // layout, single-column spans free) or interleaved columns (unit-stride
-  // across the live set for every width-na kernel).  Addressing only —
-  // per-column operation order is identical, so iterates match solve() to
-  // the bit under either layout.
-  const PanelLayout lay = cfg_.layout.value_or(w.panel_layout());
-  const bool ilv = lay == PanelLayout::kColMajor;
-  const std::ptrdiff_t pld = ilv ? static_cast<std::ptrdiff_t>(W) : nld;
-  // Interleaved panels have no contiguous columns, so single-column work
-  // (residual/preconditioner applies in init_slot) stages through scratch.
-  std::span<VT> scr;
-  if (ilv) scr = w.get<VT>(key_ + ".bat.scr", 2 * n_);
 
   auto col = [&](std::span<VT> blk, int j) {
     return std::span<VT>(blk.data() + static_cast<std::size_t>(j) * n_, n_);
@@ -162,11 +138,7 @@ std::vector<SolveResult> CgSolver<VT>::solve_many(const VT* b, std::ptrdiff_t ld
     }
     bref[j] = bnorm > 0.0 ? bnorm : 1.0;
     target[j] = cfg_.rtol * bref[j];
-    // Interleaved panels: build r/z in contiguous scratch (the same values
-    // the row-major path writes into the panel columns — exact copies on
-    // the scatter), so the single-column residual/apply/reductions below
-    // are the row-major path's operations verbatim.
-    VT* r0 = ilv ? scr.data() : cptr(R, j);
+    VT* r0 = cptr(R, j);
     a_->residual(std::span<const VT>(b + static_cast<std::ptrdiff_t>(c) * ldb, n_),
                  std::span<const VT>(x + static_cast<std::ptrdiff_t>(c) * ldx, n_),
                  std::span<VT>(r0, n_));
@@ -181,23 +153,10 @@ std::vector<SolveResult> CgSolver<VT>::solve_many(const VT* b, std::ptrdiff_t ld
       res[c].mark_converged();
       return false;
     }
-    best[j] = rnorm;
-    stall[j] = 0;
-    const std::ptrdiff_t nn = nld;
-    if (ilv) {
-      VT* z0 = scr.data() + n_;
-      m_->apply(std::span<const VT>(r0, n_), std::span<VT>(z0, n_));
-      kx_.dot_cols(r0, nld, z0, nld, 1, n_, &rz[j]);
-      // Scatter r into R_j and z into P_j (Z is pass-local: rewritten by
-      // the trailing preconditioner sweep before any read, so it needs no
-      // initialization here).
-      panel_copy_col(r0, nld, PanelLayout::kRowMajor, 0, R.data(), pld, lay, j, nn);
-      panel_copy_col(z0, nld, PanelLayout::kRowMajor, 0, P.data(), pld, lay, j, nn);
-    } else {
-      m_->apply(ccol(R, j), col(Z, j));
-      kx_.copy(ccol(Z, j), col(P, j));
-      kx_.dot_cols(cptr(R, j), nld, cptr(Z, j), nld, 1, n_, &rz[j]);
-    }
+    stag[j] = StagnationGuard{rnorm};
+    m_->apply(ccol(R, j), col(Z, j));
+    kx_.copy(ccol(Z, j), col(P, j));
+    kx_.dot_cols(cptr(R, j), nld, cptr(Z, j), nld, 1, n_, &rz[j]);
     return true;
   };
   auto refill = [&]() {
@@ -210,23 +169,16 @@ std::vector<SolveResult> CgSolver<VT>::solve_many(const VT* b, std::ptrdiff_t ld
   // the one mid-pass retirement site (the pq breakdown check), so it moves.
   auto move_slot = [&](int dst, int src) {
     if (dst == src) return;
-    if (ilv) {
-      panel_copy_col(R.data(), pld, lay, src, R.data(), pld, lay, dst, nld);
-      panel_copy_col(P.data(), pld, lay, src, P.data(), pld, lay, dst, nld);
-      panel_copy_col(Q.data(), pld, lay, src, Q.data(), pld, lay, dst, nld);
-    } else {
-      kx_.copy(ccol(R, src), col(R, dst));
-      kx_.copy(ccol(P, src), col(P, dst));
-      kx_.copy(ccol(Q, src), col(Q, dst));
-    }
+    kx_.copy(ccol(R, src), col(R, dst));
+    kx_.copy(ccol(P, src), col(P, dst));
+    kx_.copy(ccol(Q, src), col(Q, dst));
     rz[dst] = rz[src];
     red[dst] = red[src];
     target[dst] = target[src];
     bref[dst] = bref[src];
     itc[dst] = itc[src];
     map[dst] = map[src];
-    best[dst] = best[src];
-    stall[dst] = stall[src];
+    stag[dst] = stag[src];
   };
 
   refill();
@@ -243,8 +195,8 @@ std::vector<SolveResult> CgSolver<VT>::solve_many(const VT* b, std::ptrdiff_t ld
     refill();
     if (na == 0) break;
 
-    a_->apply_many_layout(P.data(), pld, Q.data(), pld, na, lay, lay);
-    kx_.dot_cols(P.data(), pld, Q.data(), pld, na, n_, red.data(), nullptr, lay, lay);
+    a_->apply_many(P.data(), nld, Q.data(), nld, na);
+    kx_.dot_cols(P.data(), nld, Q.data(), nld, na, n_, red.data());
     for (int j = 0; j < na;) {
       const int it = ++itc[j];
       const S pq = red[j];
@@ -266,18 +218,14 @@ std::vector<SolveResult> CgSolver<VT>::solve_many(const VT* b, std::ptrdiff_t ld
 
     // x_{map[j]} += α_j p_j (scattered through the index map into caller
     // columns); r_j −= α_j q_j.
-    kx_.axpy_cols(alpha.data(), P.data(), pld, x, ldx, na, n_, nullptr, map.data(), lay,
-                    PanelLayout::kRowMajor);
-    kx_.axpy_cols(nalpha.data(), Q.data(), pld, R.data(), pld, na, n_, nullptr, nullptr,
-                    lay, lay);
-    kx_.nrm2_cols(R.data(), pld, na, n_, red.data(), nullptr, lay);
+    kx_.axpy_cols(alpha.data(), P.data(), nld, x, ldx, na, n_, map.data());
+    kx_.axpy_cols(nalpha.data(), Q.data(), nld, R.data(), nld, na, n_);
+    kx_.nrm2_cols(R.data(), nld, na, n_, red.data());
     // Belt-and-braces panel guard (benched; see Config::guard_panels).  The
     // rnorm check below already retires every poisoned column — a NaN/Inf
     // anywhere in r makes its norm non-finite — so the scan only sharpens
     // the failure site attribution; its cost is what the bench gate pins.
-    const int badc = cfg_.guard_panels
-                         ? kx_.first_nonfinite_col(R.data(), pld, na, n_, lay)
-                         : -1;
+    const int badc = cfg_.guard_panels ? kx_.first_nonfinite_col(R.data(), nld, na, n_) : -1;
     for (int j = 0; j < na;) {
       const int c = map[j];
       const double rnorm = static_cast<double>(red[j]);
@@ -293,15 +241,9 @@ std::vector<SolveResult> CgSolver<VT>::solve_many(const VT* b, std::ptrdiff_t ld
         move_slot(j, --na);
         continue;
       }
-      if (cfg_.stagnate_window > 0) {
-        if (rnorm < 0.99 * best[j]) {
-          best[j] = rnorm;
-          stall[j] = 0;
-        } else if (++stall[j] >= cfg_.stagnate_window) {
-          res[c].fail(SolveStatus::kStagnated, "rnorm");
-          move_slot(j, --na);
-          continue;
-        }
+      if (stag[j].stalled(res[c], rnorm, cfg_.stagnate_window, "rnorm")) {
+        move_slot(j, --na);
+        continue;
       }
       ++j;
     }
@@ -309,15 +251,14 @@ std::vector<SolveResult> CgSolver<VT>::solve_many(const VT* b, std::ptrdiff_t ld
 
     // The trailing preconditioner apply and direction update run even on a
     // column's final iteration, exactly as solve()'s loop body does.
-    m_->apply_many_layout(R.data(), pld, Z.data(), pld, na, lay);
-    kx_.dot_cols(R.data(), pld, Z.data(), pld, na, n_, red.data(), nullptr, lay, lay);
+    m_->apply_many(R.data(), nld, Z.data(), nld, na);
+    kx_.dot_cols(R.data(), nld, Z.data(), nld, na, n_, red.data());
     for (int j = 0; j < na; ++j) {
       beta[j] = red[j] / rz[j];
       rz[j] = red[j];
     }
     // p_j = z_j + β_j p_j.
-    kx_.axpby_cols(ones.data(), Z.data(), pld, beta.data(), P.data(), pld, na, n_,
-                     nullptr, lay, lay);
+    kx_.axpby_cols(ones.data(), Z.data(), nld, beta.data(), P.data(), nld, na, n_);
   }
   return res;
 }

@@ -22,7 +22,7 @@
 // frozen the moment they finish.
 //
 // Active-set compaction: when a column retires, the survivors
-// are compacted into the leading columns of the interleaved R/Z/P/Q
+// are compacted into the leading columns of the R/Z/P/Q
 // panels (an active→original index map scatters the x updates back to
 // caller positions), so every SpMM, preconditioner sweep, and column
 // reduction runs at the CURRENT width — re-dispatching through the
@@ -37,13 +37,11 @@
 #pragma once
 
 #include <cstddef>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "backend/kernels.hpp"
-#include "base/panel.hpp"
 #include "base/workspace.hpp"
 #include "krylov/history.hpp"
 #include "krylov/operator.hpp"
@@ -70,12 +68,6 @@ class CgSolver {
     /// default — the residual-NORM check already catches NaN for free;
     /// this is the belt-and-braces mode the guard-overhead bench pins.
     bool guard_panels = false;
-    /// Storage layout of the batched solver's survivor panels (see
-    /// base/panel.hpp): kColMajor interleaves the live columns so every
-    /// width-na kernel streams unit-stride over exactly the active set.
-    /// Unset = the workspace's panel_layout() default.  Per-column
-    /// operation order is preserved — iterates are bit-identical.
-    std::optional<PanelLayout> layout;
   };
 
   /// Deferred-setup construction (no allocation until setup()).

@@ -41,14 +41,12 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "base/blas1.hpp"
 #include "base/blas_block.hpp"
-#include "base/panel.hpp"
 #include "base/workspace.hpp"
 #include "krylov/operator.hpp"
 #include "precond/preconditioner.hpp"
@@ -68,13 +66,6 @@ class FgmresSolver final : public Preconditioner<VT> {
     /// as soon as the Givens residual estimate has dropped below
     /// inner_rtol · ‖v‖ instead of always running all m iterations.
     double inner_rtol = 0.0;
-    /// Layout of run_many's gather panels (see base/panel.hpp):
-    /// kColMajor interleaves the gathered v_j/z_j columns so a ragged
-    /// survivor set streams unit-stride through the preconditioner and
-    /// operator sweeps.  Unset = the workspace default.  Gather/scatter
-    /// copies are exact and per-column applies are order-preserving, so
-    /// iterates are bit-identical across layouts.
-    std::optional<PanelLayout> layout;
   };
 
   struct RunStats {
@@ -255,13 +246,6 @@ class FgmresSolver final : public Preconditioner<VT> {
     auto VS = w.get<VT>(key_ + ".bat.vs", kk * n_);
     auto ZS = w.get<VT>(key_ + ".bat.zs", kk * n_);
     auto map = w.get<int>(key_ + ".bat.map", kk);
-    // Gather-panel layout (base/panel.hpp): interleaved gathers stream
-    // unit-stride through the ragged-set sweeps.  Exact copies in/out —
-    // iterates are unchanged.
-    const PanelLayout lay = cfg_.layout.value_or(w.panel_layout());
-    const bool ilv = lay == PanelLayout::kColMajor;
-    const std::ptrdiff_t gld =
-        ilv ? static_cast<std::ptrdiff_t>(k) : static_cast<std::ptrdiff_t>(n_);
 
     auto vc = [&](int c, int j) {
       return std::span<VT>(VB.data() + static_cast<std::size_t>(c) * vstr +
@@ -325,22 +309,6 @@ class FgmresSolver final : public Preconditioner<VT> {
                        static_cast<std::ptrdiff_t>(zstr),
                        WB.data() + static_cast<std::size_t>(c0) * n_,
                        static_cast<std::ptrdiff_t>(n_), nactive);
-      } else if (ilv) {
-        // Interleaved gather: active v_j columns side by side, so the M
-        // and A sweeps stream unit-stride across the survivor set; the
-        // w output stays row-major (CGS consumes contiguous wc spans).
-        for (int i = 0; i < nactive; ++i)
-          panel_copy_col(vc(map[i], j).data(), static_cast<std::ptrdiff_t>(n_),
-                         PanelLayout::kRowMajor, 0, VS.data(), gld, lay, i,
-                         static_cast<std::ptrdiff_t>(n_));
-        m_->apply_many_layout(VS.data(), gld, ZS.data(), gld, nactive, lay);
-        a_->apply_many_layout(ZS.data(), gld, WB.data(),
-                              static_cast<std::ptrdiff_t>(n_), nactive, lay,
-                              PanelLayout::kRowMajor);
-        for (int i = 0; i < nactive; ++i)
-          panel_copy_col(ZS.data(), gld, lay, i, zc(map[i], j).data(),
-                         static_cast<std::ptrdiff_t>(n_), PanelLayout::kRowMajor, 0,
-                         static_cast<std::ptrdiff_t>(n_));
       } else {
         for (int i = 0; i < nactive; ++i)
           this->kern_table().copy(std::span<const VT>(vc(map[i], j)),

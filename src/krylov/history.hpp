@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -70,6 +71,33 @@ struct SolveResult {
     status = SolveStatus::kConverged;
     failure.clear();
     converged = true;
+  }
+};
+
+/// The windowed stagnation guard every solver shares (";stagnate-window="):
+/// a progress check stalls unless `relres` improves on 0.99× the best value
+/// seen, and `window` consecutive stalls stop the solve with
+/// SolveStatus::kStagnated.  Pure comparisons on already-computed norms —
+/// iterate streams are untouched.  A trivially copyable aggregate, so
+/// batched solvers keep one per slot in workspace storage.  `best` starts
+/// at the initial residual, or +inf when the first check always counts as
+/// progress.
+struct StagnationGuard {
+  double best = std::numeric_limits<double>::infinity();
+  int stall = 0;
+
+  /// One progress check (window ≤ 0 = off).  On the window-th consecutive
+  /// stall, records kStagnated at `site` on `r` and returns true.
+  bool stalled(SolveResult& r, double relres, int window, const char* site) {
+    if (window <= 0) return false;
+    if (relres < 0.99 * best) {
+      best = relres;
+      stall = 0;
+      return false;
+    }
+    if (++stall < window) return false;
+    r.fail(SolveStatus::kStagnated, site);
+    return true;
   }
 };
 

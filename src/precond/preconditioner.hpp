@@ -21,13 +21,11 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "backend/kernels.hpp"
 #include "base/backend.hpp"
 #include "base/half.hpp"
 #include "base/blas1.hpp"
-#include "base/panel.hpp"
 
 namespace nk {
 
@@ -54,28 +52,6 @@ class Preconditioner {
             std::span<VT>(z + static_cast<std::ptrdiff_t>(c) * ldz, n));
   }
 
-  /// Layout-aware batched apply: like apply_many but both panels use
-  /// `layout` (see panel.hpp).  The default stages an interleaved batch
-  /// through a grow-only row-major scratch — exact copies around the
-  /// row-major apply_many, so results (and solver-state sequencing) are
-  /// bit-identical at the cost of the transposes.  Stateless
-  /// preconditioners with a native interleaved kernel (ILU substitution,
-  /// Jacobi) override to skip the staging.
-  virtual void apply_many_layout(const VT* r, std::ptrdiff_t ldr, VT* z,
-                                 std::ptrdiff_t ldz, int k, PanelLayout layout) {
-    if (layout == PanelLayout::kRowMajor) {
-      apply_many(r, ldr, z, ldz, k);
-      return;
-    }
-    const std::ptrdiff_t n = size();
-    stage_.resize(static_cast<std::size_t>(2 * k) * n);
-    VT* rs = stage_.data();
-    VT* zs = rs + static_cast<std::ptrdiff_t>(k) * n;
-    panel_copy(r, ldr, layout, rs, n, PanelLayout::kRowMajor, k, n);
-    apply_many(rs, n, zs, n, k);
-    panel_copy(zs, n, PanelLayout::kRowMajor, z, ldz, layout, k, n);
-  }
-
   [[nodiscard]] virtual index_t size() const = 0;
 
   /// Execution-space backend this handle's kernels run on.  Set by the
@@ -86,8 +62,6 @@ class Preconditioner {
 
  protected:
   [[nodiscard]] const kern::Kernels& kern_table() const { return kx_; }
-
-  std::vector<VT> stage_;  ///< grow-only transpose scratch of the staged default
 
  private:
   kern::Kernels kx_;

@@ -93,17 +93,6 @@ TEST(SolverWorkspace, SlabsAreCacheLineAligned) {
     check(ws.get<double>("grow", static_cast<std::size_t>(round) * 37).data());
 }
 
-TEST(SolverWorkspace, PanelLayoutDefaultAndSet) {
-  // The workspace default is what solvers use when SolverSpec.layout is
-  // unset; it must start row-major (the seed behavior) and stick once set.
-  SolverWorkspace ws;
-  EXPECT_EQ(ws.panel_layout(), PanelLayout::kRowMajor);
-  ws.set_panel_layout(PanelLayout::kColMajor);
-  EXPECT_EQ(ws.panel_layout(), PanelLayout::kColMajor);
-  ws.release();  // releasing slabs does not reset the layout preference
-  EXPECT_EQ(ws.panel_layout(), PanelLayout::kColMajor);
-}
-
 TEST(SolverWorkspace, LargeSlabsAreZeroedThroughFirstTouch) {
   // Big enough to span many 64 KiB first-touch chunks and engage the
   // parallel path on multi-thread runs; every byte must still be zero.

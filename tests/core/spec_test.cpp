@@ -32,7 +32,7 @@ TEST(Spec, DefaultsAndCanonicalForms) {
 TEST(Spec, ParsePopulatesEveryField) {
   const SolverSpec s = SolverSpec::parse(
       "fgmres32@fp32/ssor@fp16;rtol=2.5e-05;max-iters=123;restarts=5;nohist;wave=7;"
-      "layout=colmajor;nblocks=9;omega=1.5;degree=4");
+      "stagnate-window=6;nblocks=9;omega=1.5;degree=4");
   EXPECT_EQ(s.kind, "fgmres");
   EXPECT_EQ(s.m, 32);
   EXPECT_EQ(s.prec, Prec::FP32);
@@ -41,7 +41,7 @@ TEST(Spec, ParsePopulatesEveryField) {
   EXPECT_EQ(s.max_restarts, 5);
   EXPECT_FALSE(s.record_history);
   EXPECT_EQ(s.wave, 7);
-  EXPECT_EQ(s.layout, PanelLayout::kColMajor);
+  EXPECT_EQ(s.stagnate_window, 6);
   EXPECT_EQ(s.precond.kind, "ssor");
   ASSERT_TRUE(s.precond.storage.has_value());
   EXPECT_EQ(*s.precond.storage, Prec::FP16);
@@ -49,28 +49,6 @@ TEST(Spec, ParsePopulatesEveryField) {
   EXPECT_DOUBLE_EQ(s.precond.omega, 1.5);
   EXPECT_EQ(s.precond.degree, 4);
   EXPECT_EQ(SolverSpec::parse(s.to_string()), s);
-}
-
-TEST(Spec, LayoutOptionRoundTripsAndDefaultsUnset) {
-  // layout= selects the survivor-panel storage; unset (the default) defers
-  // to the workspace, and to_string omits it so old spec strings re-render
-  // unchanged.
-  EXPECT_FALSE(SolverSpec::parse("cg").layout.has_value());
-
-  const SolverSpec cm = SolverSpec::parse("cg;layout=colmajor");
-  ASSERT_TRUE(cm.layout.has_value());
-  EXPECT_EQ(*cm.layout, PanelLayout::kColMajor);
-  EXPECT_EQ(cm.to_string(), "cg;layout=colmajor");
-  EXPECT_EQ(SolverSpec::parse(cm.to_string()), cm);
-
-  const SolverSpec rm = SolverSpec::parse("bicgstab;layout=rowmajor;wave=8");
-  ASSERT_TRUE(rm.layout.has_value());
-  EXPECT_EQ(*rm.layout, PanelLayout::kRowMajor);
-  EXPECT_EQ(SolverSpec::parse(rm.to_string()), rm);
-
-  EXPECT_THROW(SolverSpec::parse("cg;layout=diagonal"), SpecError);
-  EXPECT_THROW(SolverSpec::parse("cg;layout="), SpecError);
-  EXPECT_THROW(SolverSpec::parse("cg;layout"), SpecError);
 }
 
 TEST(Spec, LegacyPaperNamesAreAliases) {
@@ -97,7 +75,7 @@ TEST(Spec, RoundTripAllRegisteredKinds) {
     for (const Prec prec : {Prec::FP64, Prec::FP32, Prec::FP16}) {
       if (!info->takes_prec && prec != Prec::FP64) continue;
       for (const int wave : {0, 4}) {
-        for (const bool colmajor : {false, true}) {
+        for (const int stagnate_window : {0, 7}) {
           SolverSpec s;
           s.kind = kind;
           s.prec = prec;
@@ -107,7 +85,7 @@ TEST(Spec, RoundTripAllRegisteredKinds) {
           s.max_restarts = 1;
           s.record_history = (wave == 0);
           s.wave = wave;
-          if (colmajor) s.layout = PanelLayout::kColMajor;
+          s.stagnate_window = stagnate_window;
           s.precond.kind = precond_kinds[pidx++ % precond_kinds.size()];
           s.precond.storage = (cells % 2 == 0) ? std::optional<Prec>(Prec::FP16)
                                                : std::nullopt;
@@ -245,6 +223,8 @@ TEST(Spec, RejectsMalformedStrings) {
   EXPECT_THROW(SolverSpec::parse("cg;bogus=1"), SpecError);
   EXPECT_THROW(SolverSpec::parse("cg;nohist=1"), SpecError);  // flag, not kv
   EXPECT_THROW(SolverSpec::parse("cg;masked"), SpecError);    // retired option
+  EXPECT_THROW(SolverSpec::parse("cg;layout=colmajor"), SpecError);  // retired option
+  EXPECT_THROW(SolverSpec::parse("cg;layout=rowmajor"), SpecError);
   EXPECT_THROW(SolverSpec::parse("cg;wave"), SpecError);      // kv, not flag
   EXPECT_THROW(PrecondSpec::parse("bj;rtol=1e-8"), SpecError);  // solver-only key
   EXPECT_THROW(PrecondSpec::parse("bj/jacobi"), SpecError);

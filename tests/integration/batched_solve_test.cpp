@@ -177,7 +177,7 @@ TEST(BatchedSolve, FgmresRunManyExactColumnAgreement) {
     auto h_b = jac.make_apply<double>(Prec::FP64);
     FgmresSolver<double> batched(op_b, *h_b, {.m = 40});
     // Absolute target chosen so some columns stop early and freeze while
-    // the rest keep iterating (exercises the per-column masking).
+    // the rest keep iterating (exercises active-set compaction).
     const auto many = batched.run_many(B.data(), static_cast<std::ptrdiff_t>(n), X.data(),
                                        static_cast<std::ptrdiff_t>(n), k, 1e-6,
                                        /*x_nonzero=*/false);
@@ -550,141 +550,6 @@ TEST(BatchedCompaction, FgmresCompactMatchesRun) {
     for (std::size_t i = 0; i < n; ++i)
       ASSERT_EQ(Xc[static_cast<std::size_t>(c) * n + i], x[i]) << "c=" << c << " i=" << i;
   }
-}
-
-// ------------------------------------------- survivor-panel layouts
-//
-// layout=colmajor changes only the ADDRESSING of the batched panels; the
-// per-column accumulation order is preserved, so whole solves must be
-// bit-identical to the row-major default.  The CG/BiCGStab cases carry no
-// SingleThreadGuard on purpose: every reduction on their solve_many paths
-// goes through dot_cols (deliberately serial) and every update is
-// element-local, so the identity must hold at any thread count — the
-// forced-team re-run exercises exactly that.  FGMRES is the exception:
-// its per-column CGS runs blas::dot_many / blas::nrm2, whose OpenMP
-// `reduction` combine order is unspecified with a real team, so run_many
-// is only bit-reproducible single-threaded (same caveat as every exact
-// batched-vs-sequential test above) — that case pins one thread.
-
-TEST(BatchedLayout, CgColMajorBitIdenticalToRowMajor) {
-  const auto a = test::scaled_laplace2d(20, 20);
-  const std::size_t n = static_cast<std::size_t>(a.nrows);
-  const int k = 9;
-  const auto B = staggered_batch(20, 20, {1, 0, 3, 1, 0, 5, 2, 0, 4}, 171);
-  JacobiPrecond jac(a);
-  CgSolver<double>::Config cfg{.rtol = 1e-9, .max_iters = 2000, .record_history = true};
-
-  std::vector<std::vector<double>> X;
-  std::vector<std::vector<SolveResult>> R;
-  for (PanelLayout lay : {PanelLayout::kRowMajor, PanelLayout::kColMajor}) {
-    cfg.layout = lay;
-    X.emplace_back(n * static_cast<std::size_t>(k), 0.0);
-    CsrOperator<double, double> op(a);
-    auto h = jac.make_apply<double>(Prec::FP64);
-    CgSolver<double> s(op, *h, cfg);
-    R.push_back(s.solve_many(B.data(), static_cast<std::ptrdiff_t>(n), X.back().data(),
-                             static_cast<std::ptrdiff_t>(n), k, /*wave=*/4));
-  }
-  for (int c = 0; c < k; ++c) {
-    EXPECT_EQ(R[1][c].converged, R[0][c].converged) << "c=" << c;
-    EXPECT_EQ(R[1][c].iterations, R[0][c].iterations) << "c=" << c;
-    ASSERT_EQ(R[1][c].history.size(), R[0][c].history.size()) << "c=" << c;
-    for (std::size_t t = 0; t < R[0][c].history.size(); ++t)
-      ASSERT_EQ(R[1][c].history[t], R[0][c].history[t]) << "c=" << c << " t=" << t;
-  }
-  for (std::size_t i = 0; i < X[0].size(); ++i) ASSERT_EQ(X[1][i], X[0][i]) << i;
-}
-
-TEST(BatchedLayout, BicgstabColMajorBitIdenticalToRowMajor) {
-  const auto a = test::scaled_convdiff2d(20, 15.0);
-  const std::size_t n = static_cast<std::size_t>(a.nrows);
-  const int k = 5;
-  const auto B = make_batch(n, k, 181);
-  BlockJacobiIlu0 ilu(a, {.nblocks = 4, .alpha = 1.0});
-  BiCgStabSolver<double>::Config cfg{.rtol = 1e-9, .max_iters = 2000,
-                                     .record_history = true};
-
-  std::vector<std::vector<double>> X;
-  std::vector<std::vector<SolveResult>> R;
-  for (PanelLayout lay : {PanelLayout::kRowMajor, PanelLayout::kColMajor}) {
-    cfg.layout = lay;
-    X.emplace_back(n * static_cast<std::size_t>(k), 0.0);
-    CsrOperator<double, double> op(a);
-    auto h = ilu.make_apply<double>(Prec::FP64);
-    BiCgStabSolver<double> s(op, *h, cfg);
-    R.push_back(s.solve_many(B.data(), static_cast<std::ptrdiff_t>(n), X.back().data(),
-                             static_cast<std::ptrdiff_t>(n), k));
-  }
-  for (int c = 0; c < k; ++c) {
-    EXPECT_EQ(R[1][c].converged, R[0][c].converged) << "c=" << c;
-    EXPECT_EQ(R[1][c].iterations, R[0][c].iterations) << "c=" << c;
-    ASSERT_EQ(R[1][c].history.size(), R[0][c].history.size()) << "c=" << c;
-    for (std::size_t t = 0; t < R[0][c].history.size(); ++t)
-      ASSERT_EQ(R[1][c].history[t], R[0][c].history[t]) << "c=" << c << " t=" << t;
-  }
-  for (std::size_t i = 0; i < X[0].size(); ++i) ASSERT_EQ(X[1][i], X[0][i]) << i;
-}
-
-TEST(BatchedLayout, FgmresColMajorBitIdenticalToRowMajor) {
-  SingleThreadGuard guard;  // CGS reductions reassociate under a team
-  const auto a = test::scaled_laplace2d(18, 18);
-  const std::size_t n = static_cast<std::size_t>(a.nrows);
-  const int k = 6;
-  const auto B = staggered_batch(18, 18, {2, 0, 4, 8, 0, 3}, 191);
-  JacobiPrecond jac(a);
-
-  std::vector<std::vector<double>> X;
-  std::vector<std::vector<FgmresSolver<double>::RunStats>> R;
-  for (PanelLayout lay : {PanelLayout::kRowMajor, PanelLayout::kColMajor}) {
-    FgmresSolver<double>::Config cfg{.m = 30};
-    cfg.layout = lay;
-    X.emplace_back(n * static_cast<std::size_t>(k), 0.0);
-    CsrOperator<double, double> op(a);
-    auto h = jac.make_apply<double>(Prec::FP64);
-    FgmresSolver<double> s(op, *h, cfg);
-    R.push_back(s.run_many(B.data(), static_cast<std::ptrdiff_t>(n), X.back().data(),
-                           static_cast<std::ptrdiff_t>(n), k, 1e-8,
-                           /*x_nonzero=*/false));
-  }
-  for (int c = 0; c < k; ++c) {
-    EXPECT_EQ(R[1][c].iters, R[0][c].iters) << "c=" << c;
-    EXPECT_EQ(R[1][c].reached_target, R[0][c].reached_target) << "c=" << c;
-    EXPECT_EQ(R[1][c].residual_est, R[0][c].residual_est) << "c=" << c;
-  }
-  for (std::size_t i = 0; i < X[0].size(); ++i) ASSERT_EQ(X[1][i], X[0][i]) << i;
-}
-
-TEST(BatchedLayout, WorkspaceDefaultAppliesWhenConfigUnset) {
-  // cfg.layout unset → the workspace's panel_layout() decides; setting it
-  // to colmajor must reproduce the explicit cfg.layout=colmajor solve.
-  const auto a = test::scaled_laplace2d(16, 16);
-  const std::size_t n = static_cast<std::size_t>(a.nrows);
-  const int k = 4;
-  const auto B = make_batch(n, k, 201);
-  JacobiPrecond jac(a);
-  CgSolver<double>::Config cfg{.rtol = 1e-9, .max_iters = 1000};
-
-  std::vector<double> Xw(n * k, 0.0), Xe(n * k, 0.0);
-  {
-    CsrOperator<double, double> op(a);
-    auto h = jac.make_apply<double>(Prec::FP64);
-    SolverWorkspace ws;
-    ws.set_panel_layout(PanelLayout::kColMajor);
-    CgSolver<double> s(cfg, &ws, "cg");
-    s.setup(op, *h);
-    s.solve_many(B.data(), static_cast<std::ptrdiff_t>(n), Xw.data(),
-                 static_cast<std::ptrdiff_t>(n), k);
-  }
-  {
-    CsrOperator<double, double> op(a);
-    auto h = jac.make_apply<double>(Prec::FP64);
-    auto cfg2 = cfg;
-    cfg2.layout = PanelLayout::kColMajor;
-    CgSolver<double> s(op, *h, cfg2);
-    s.solve_many(B.data(), static_cast<std::ptrdiff_t>(n), Xe.data(),
-                 static_cast<std::ptrdiff_t>(n), k);
-  }
-  for (std::size_t i = 0; i < Xw.size(); ++i) ASSERT_EQ(Xw[i], Xe[i]) << i;
 }
 
 // ------------------------------------------------- workspace lifecycle

@@ -142,8 +142,8 @@ TEST_F(ServerTest, SemanticErrorsKeepTheConnectionUsable) {
     EXPECT_EQ(e.code(), "unknown-handle");
   }
   // Bad spec on a good handle (a malformed value, then the retired
-  // ";masked" option): same discipline.
-  for (const char* spec : {"cg;wave=4x", "cg;masked"}) {
+  // ";masked" and ";layout=" options): same discipline.
+  for (const char* spec : {"cg;wave=4x", "cg;masked", "cg;layout=colmajor"}) {
     try {
       c.solve(h.handle, spec, B, 1, h.n);
       FAIL() << "expected bad-spec for " << spec;

@@ -39,12 +39,16 @@ import sys
 RATIO_PAIRS = [
     ("dot_many_{p}_k8", "dot_x8_{p}"),
     ("dot_cols_{p}_k8", "dot_x8_{p}"),
-    ("dot_cols_cm_{p}_k8", "dot_x8_{p}"),
     ("axpy_many_{p}_k8", "axpy_x8_{p}"),
     ("scal_copy_{p}", "scal_plus_copy_{p}"),
     ("arnoldi_step_fused_{p}_k8", "arnoldi_step_unfused_{p}_k8"),
 ]
 PRECISIONS = ["fp64", "fp32", "fp16"]
+
+# Records of deleted kernels (the interleaved-panel dot_cols).  A report
+# still carrying one predates the deletion: exit 2 like a rename/drop, so a
+# stale baseline is refreshed rather than silently half-compared.
+RETIRED_RECORDS = [f"dot_cols_cm_{p}_k8" for p in PRECISIONS]
 
 # Native AVX-512 FP16 kernels vs the blas:: dispatch path (F16C unless the
 # env opts the natives in).  Absent from both files on machines without the
@@ -165,6 +169,12 @@ def gated_pairs(tolerance):
 def diff(fresh, base, tolerance, fresh_name="fresh", base_name="baseline"):
     """Core comparison on already-loaded record dicts; returns the exit code."""
     failures, missing, checked = [], [], 0
+    for n in RETIRED_RECORDS:
+        for recs, where in ((fresh, fresh_name), (base, base_name)):
+            if n in recs:
+                print(f"RETIRED  record '{n}' in {where} names a deleted kernel — "
+                      f"refresh that report")
+                missing.append(n)
     for fused, ref, tol, metric in gated_pairs(tolerance):
         names = (fused,) if ref is None else (fused, ref)
         # A record present in exactly one file is a rename/drop (or a new
@@ -231,8 +241,8 @@ def diff(fresh, base, tolerance, fresh_name="fresh", base_name="baseline"):
             failures.append(f"{fused} [{metric}]")
 
     if missing:
-        print(f"\nbench_diff: {len(missing)} gated record(s) missing — see MISSING "
-              f"lines above", file=sys.stderr)
+        print(f"\nbench_diff: {len(missing)} gated record(s) missing or retired — see "
+              f"MISSING/RETIRED lines above", file=sys.stderr)
         return 2
     if checked == 0:
         print("bench_diff: no comparable records found", file=sys.stderr)
@@ -332,6 +342,14 @@ def self_test():
         masked_era[old] = dict(masked_era.pop(ref), name=old)
     expect("staggered seq records absent from a masked-era baseline exit 2",
            diff(synthetic(), masked_era, 0.25), 2)
+
+    # The interleaved-panel dot_cols is deleted; a baseline still carrying
+    # its records predates that and must fail loudly, not pass.
+    cm_era = synthetic()
+    for name in RETIRED_RECORDS:
+        cm_era[name] = {"name": name, "seconds": 0.25, "gbps": 4.0}
+    expect("retired dot_cols_cm records in the baseline exit 2",
+           diff(synthetic(), cm_era, 0.25), 2)
 
     # Soft backend records: one-sided absence (a pre-seam baseline) skips
     # the pair instead of exiting 2 like a rename/drop would.
