@@ -11,8 +11,8 @@
 //   * SpMV:    CSR vs SELL-C (SIMD column-major) vs the pre-SIMD row-wise
 //              SELL reference, on HPCG/HPGMP stencil matrices
 //   * Batched solves: 8-RHS lockstep CG vs 8 sequential solves, and the
-//              staggered-convergence 16-RHS CG/FGMRES benches comparing
-//              the compacting batched solver against 16 sequential solves
+//              staggered-convergence 16-RHS CG bench comparing the
+//              compacting batched solver against 16 sequential solves
 //              (gated on bit-identical per-column iterates)
 //
 // Every fused kernel is checked against its unfused reference first; any
@@ -56,7 +56,6 @@
 #include "core/tune/perf_db.hpp"
 #include "core/tune/shortlist.hpp"
 #include "krylov/cg.hpp"
-#include "krylov/fgmres.hpp"
 #include "krylov/operator.hpp"
 #include "precond/block_jacobi_ilu0.hpp"
 #include "precond/jacobi.hpp"
@@ -671,7 +670,7 @@ void bench_batched_solve(bench::JsonReport& rep, std::int64_t n_target) {
 /// Pins the OpenMP team to one thread for its scope (a no-op without
 /// OpenMP).  The sequential solvers' blas1 reductions reproduce the batched
 /// column reductions bit-for-bit only single-threaded, so the staggered
-/// benches run their bit-identity gate inside one and time outside it.
+/// bench runs its bit-identity gate inside one and times outside it.
 struct SingleThreadScope {
 #ifdef _OPENMP
   int saved = omp_get_max_threads();
@@ -780,87 +779,6 @@ void bench_staggered_cg(bench::JsonReport& rep, index_t side) {
   std::cout << "staggered batched CG 16 RHS (n=" << n << ", retire " << it_lo << ".."
             << it_hi << " iters): sequential " << t_seq << " s vs compact " << t_compact
             << " s  (" << t_seq / t_compact << "x)\n";
-}
-
-void bench_staggered_fgmres(bench::JsonReport& rep, index_t side) {
-  CsrMatrix<double> a = gen::stencil27({.nx = side, .ny = side, .nz = side});
-  a.sort_rows();
-  diagonal_scale_symmetric(a);
-  const std::size_t n = static_cast<std::size_t>(a.nrows);
-  const auto nnz = static_cast<std::int64_t>(a.nnz());
-  const int k = 16;
-  // Staggering through the ABSOLUTE target: random columns scaled so their
-  // initial residual sits 1.5 / 3 / 8 decades above abs_target — with an
-  // ILU(0)-preconditioned cycle contracting at a roughly constant rate per
-  // step, the three waves retire at ~1x / 2x / 4x the median step count.
-  // (The heavy batched triangular sweeps are exactly what sequential
-  // solves lose.)
-  std::vector<double> B(n * k);
-  for (int c = 0; c < k; ++c) {
-    auto col = random_vector<double>(n, 1200 + static_cast<std::uint64_t>(c), -1.0, 1.0);
-    const double bn = blas::nrm2(std::span<const double>(col));
-    const double decades = c < 8 ? 1.5 : (c < 12 ? 3.0 : 8.0);
-    blas::scal(std::pow(10.0, decades) * 1e-8 / bn, std::span<double>(col));
-    std::copy(col.begin(), col.end(), B.begin() + static_cast<std::size_t>(c) * n);
-  }
-  // Few, long blocks (the paper sizes blocks per hardware thread): the
-  // triangular solves become latency-bound chains, which the batched
-  // column-interleaved substitution turns throughput-bound.
-  BlockJacobiIlu0 ilu(a, BlockJacobiIlu0::Config{8, 1.0});
-  FgmresSolver<double>::Config cfg{.m = 24};
-
-  // One solver per mode, reused across reps — constructing a fresh FGMRES
-  // solver re-acquires and zeroes the multi-hundred-MB V/Z batch basis,
-  // which would swamp the measured solve time.
-  CsrOperator<double, double> op_s(a), op_c(a);
-  auto h_s = ilu.make_apply<double>(Prec::FP64);
-  auto h_c = ilu.make_apply<double>(Prec::FP64);
-  FgmresSolver<double> solver_s(op_s, *h_s, cfg), solver_c(op_c, *h_c, cfg);
-  auto run_seq = [&](std::vector<double>& X) {
-    std::fill(X.begin(), X.end(), 0.0);
-    std::vector<FgmresSolver<double>::RunStats> res;
-    for (int c = 0; c < k; ++c) {
-      const std::size_t off = static_cast<std::size_t>(c) * n;
-      res.push_back(solver_s.run(std::span<const double>(B.data() + off, n),
-                                 std::span<double>(X.data() + off, n), 1e-8,
-                                 /*x_nonzero=*/false));
-    }
-    return res;
-  };
-  auto run_batched = [&](std::vector<double>& X) {
-    std::fill(X.begin(), X.end(), 0.0);
-    return solver_c.run_many(B.data(), static_cast<std::ptrdiff_t>(n), X.data(),
-                             static_cast<std::ptrdiff_t>(n), k, 1e-8, /*x_nonzero=*/false);
-  };
-
-  std::vector<double> Xs(n * k), Xc(n * k);
-  std::vector<FgmresSolver<double>::RunStats> res_s, res_c;
-  {
-    SingleThreadScope one;
-    res_s = run_seq(Xs);
-    res_c = run_batched(Xc);
-  }
-  int it_lo = res_c[0].iters, it_hi = it_lo;
-  for (int c = 0; c < k; ++c) {
-    check("staggered_fgmres_iters_col" + std::to_string(c),
-          std::abs(res_s[c].iters - res_c[c].iters), 0.0);
-    it_lo = std::min(it_lo, res_c[c].iters);
-    it_hi = std::max(it_hi, res_c[c].iters);
-  }
-  double dmax = 0.0;
-  for (std::size_t i = 0; i < n * k; ++i) dmax = std::max(dmax, std::abs(Xs[i] - Xc[i]));
-  check("staggered_fgmres_column_agreement", dmax, 0.0);
-
-  const auto [t_seq, t_compact] =
-      time_min_interleaved([&] { run_seq(Xs); }, [&] { run_batched(Xc); });
-  rep.add("fgmres_staggered16_seq_hpcg", static_cast<std::int64_t>(n), nnz, t_seq, 0.0);
-  rep.add("fgmres_staggered16_compact_hpcg", static_cast<std::int64_t>(n), nnz,
-          t_compact, 0.0);
-  rep.add("fgmres_staggered16_speedup", static_cast<std::int64_t>(n), nnz, t_compact,
-          t_seq / t_compact);
-  std::cout << "staggered batched FGMRES(24) 16 RHS (n=" << n << ", retire " << it_lo
-            << ".." << it_hi << " steps): sequential " << t_seq << " s vs compact "
-            << t_compact << " s  (" << t_seq / t_compact << "x)\n";
 }
 
 // ---------------------------------------------------------------------------
@@ -1225,7 +1143,6 @@ int main(int argc, char** argv) {
 
   bench_batched_solve(rep, n);
   bench_staggered_cg(rep, static_cast<index_t>(64 * scale));
-  bench_staggered_fgmres(rep, static_cast<index_t>(32 * scale));
 
   bench_daemon(rep);
   bench_auto_tuner(rep);

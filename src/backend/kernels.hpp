@@ -227,22 +227,6 @@ class Kernels {
     else nk::spmm(a, x, ldx, y, ldy, k);
   }
 
-  template <class MT, class XT, class BT, class YT>
-  void residual_many(const CsrMatrix<MT>& a, const XT* x, std::ptrdiff_t ldx,
-                     const BT* b, std::ptrdiff_t ldb, YT* y, std::ptrdiff_t ldy,
-                     int k) const {
-    if (be_ == Backend::kSerial) nk::serial::residual_many(a, x, ldx, b, ldb, y, ldy, k);
-    else nk::residual_many(a, x, ldx, b, ldb, y, ldy, k);
-  }
-
-  template <class MT, class XT, class BT, class YT>
-  void residual_many(const SellMatrix<MT>& a, const XT* x, std::ptrdiff_t ldx,
-                     const BT* b, std::ptrdiff_t ldb, YT* y, std::ptrdiff_t ldy,
-                     int k) const {
-    if (be_ == Backend::kSerial) nk::serial::residual_many(a, x, ldx, b, ldb, y, ldy, k);
-    else nk::residual_many(a, x, ldx, b, ldb, y, ldy, k);
-  }
-
  private:
   Backend be_ = Backend::kHost;
 };

@@ -380,23 +380,6 @@ void spmm(const CsrMatrix<MT>& a, const XT* x, std::ptrdiff_t ldx, YT* y,
   }
 }
 
-/// Y_c = B_c − A X_c over CSR.
-template <class MT, class XT, class BT, class YT,
-          class Acc = promote_t<promote_t<MT, XT>, BT>>
-void residual_many(const CsrMatrix<MT>& a, const XT* x, std::ptrdiff_t ldx, const BT* b,
-                   std::ptrdiff_t ldb, YT* y, std::ptrdiff_t ldy, int k) {
-  const std::ptrdiff_t n = a.nrows;
-  for (int c = 0; c < k; ++c) {
-    const XT* xc = x + static_cast<std::ptrdiff_t>(c) * ldx;
-    const BT* bc = b + static_cast<std::ptrdiff_t>(c) * ldb;
-    YT* yc = y + static_cast<std::ptrdiff_t>(c) * ldy;
-    serial::residual<MT, XT, BT, YT, Acc>(
-        a, std::span<const XT>(xc, static_cast<std::size_t>(n)),
-        std::span<const BT>(bc, static_cast<std::size_t>(n)),
-        std::span<YT>(yc, static_cast<std::size_t>(n)));
-  }
-}
-
 /// Y_c = A X_c over SELL-C, per column.
 template <class MT, class XT, class YT, class Acc = promote_t<MT, XT>>
 void spmm(const SellMatrix<MT>& a, const XT* x, std::ptrdiff_t ldx, YT* y,
@@ -406,22 +389,6 @@ void spmm(const SellMatrix<MT>& a, const XT* x, std::ptrdiff_t ldx, YT* y,
     YT* yc = y + static_cast<std::ptrdiff_t>(c) * ldy;
     serial::spmv<MT, XT, YT, Acc>(a, std::span<const XT>(xc, static_cast<std::size_t>(a.nrows)),
                           std::span<YT>(yc, static_cast<std::size_t>(a.nrows)));
-  }
-}
-
-/// Y_c = B_c − A X_c over SELL-C, per column.
-template <class MT, class XT, class BT, class YT,
-          class Acc = promote_t<promote_t<MT, XT>, BT>>
-void residual_many(const SellMatrix<MT>& a, const XT* x, std::ptrdiff_t ldx, const BT* b,
-                   std::ptrdiff_t ldb, YT* y, std::ptrdiff_t ldy, int k) {
-  for (int c = 0; c < k; ++c) {
-    const XT* xc = x + static_cast<std::ptrdiff_t>(c) * ldx;
-    const BT* bc = b + static_cast<std::ptrdiff_t>(c) * ldb;
-    YT* yc = y + static_cast<std::ptrdiff_t>(c) * ldy;
-    serial::residual<MT, XT, BT, YT, Acc>(
-        a, std::span<const XT>(xc, static_cast<std::size_t>(a.nrows)),
-        std::span<const BT>(bc, static_cast<std::size_t>(a.nrows)),
-        std::span<YT>(yc, static_cast<std::size_t>(a.nrows)));
   }
 }
 

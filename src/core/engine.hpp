@@ -32,12 +32,14 @@ class SolverEngine {
   virtual SolveResult solve(std::span<const double> b, std::span<double> x) = 0;
 
   /// Batched solve: k right-hand sides, column c of B/X contiguous at
-  /// offset c·n (Session passes spans of exactly k·n entries).  Kinds with
-  /// a batched kernel path (cg, bicgstab, the nested tuples) override this
-  /// to share every matrix/factor sweep across the batch and stay
-  /// per-column bit-identical to solve(); the default runs the columns
-  /// sequentially through solve() (per-column restart targets differ, and
-  /// setup is amortized by the shared problem and workspace).
+  /// offset c·n (Session passes spans of exactly k·n entries).  cg,
+  /// bicgstab and krylov override this with lockstep kernels that share
+  /// every matrix/factor sweep across the batch and stay per-column
+  /// bit-identical to solve(); the nested kinds (f3r, the Table 4
+  /// variants, fgmres) override it to run the columns in order on one
+  /// shared tuple setup.  The default, used by ir-gmres, runs the columns
+  /// sequentially through solve() (setup is amortized by the shared
+  /// problem and workspace).
   virtual std::vector<SolveResult> solve_many(std::span<const double> B,
                                               std::span<double> X, int k) {
     const std::size_t n = k > 0 ? B.size() / static_cast<std::size_t>(k) : 0;

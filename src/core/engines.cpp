@@ -5,8 +5,15 @@
 // apply handles, operators, Krylov buffers) into solve()/solve_many(), and
 // fill the complete SolveResult (timing, invocation counters, true fp64
 // residual) — the conformance baseline pins that behavior.
+//
+// Three engine families serve the fixed kinds (the "auto" meta-kind lives
+// in core/tune/): FlatKrylovEngine (cg, bicgstab, krylov), IrGmresEngine
+// (ir-gmres), and NestedEngine — f3r, the Table 4 variants, and fgmres, the
+// paper's FGMRES(m) baseline, which is the depth-1 tuple (F^m, M) and
+// shares NestedSolver's restart loop.
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "backend/kernels.hpp"
 #include "base/backend.hpp"
@@ -148,88 +155,6 @@ class FlatKrylovEngine final : public SolverEngine {
 using CgEngine = FlatKrylovEngine<CgSolver<double>>;
 using BiCgStabEngine = FlatKrylovEngine<BiCgStabSolver<double>>;
 
-// ---------------------------------------------------------------- fgmres
-
-/// fp64 restarted FGMRES(m) with a `storage`-precision M handle — the
-/// paper's FGMRES(64) baseline.
-class FgmresEngine final : public SolverEngine {
- public:
-  FgmresEngine(SolverSpec spec, const PreparedProblem& p,
-               std::shared_ptr<PrimaryPrecond> m, SolverWorkspace* ws)
-      : spec_(std::move(spec)), p_(&p), m_(std::move(m)), ws_(ws) {}
-
-  [[nodiscard]] std::string name() const override {
-    return std::string(prec_name(eff_storage(spec_))) + "-FGMRES(" +
-           std::to_string(spec_.m) + ")";
-  }
-
-  SolveResult solve(std::span<const double> b, std::span<double> x) override {
-    const Backend be = ws_backend(ws_);
-    const kern::Kernels kx(be);
-    auto handle = m_->make_apply<double>(eff_storage(spec_));
-    handle->set_backend(be);
-    auto op_owned = p_->a->make_operator<double>(Prec::FP64, be);
-    Operator<double>& op = *op_owned;
-    FgmresSolver<double> solver(op, *handle, FgmresSolver<double>::Config{spec_.m}, ws_);
-
-    auto res = timed_solve(*m_, name(), [&] {
-      SolveResult r;
-      const double bnorm = static_cast<double>(kx.nrm2(b));
-      const double bref = bnorm > 0.0 ? bnorm : 1.0;
-      const double target = spec_.rtol * bref;
-      std::vector<double> estimates;
-      solver.set_iteration_log(&estimates);
-      StagnationGuard stag;
-      bool x_nonzero = false;
-      while (r.iterations < spec_.max_iters) {
-        const auto stats = solver.run(b, x, target, x_nonzero);
-        r.iterations += stats.iters;
-        x_nonzero = true;
-        const double relres = kx.relative_residual(
-            p_->a->csr_fp64(), std::span<const double>(x.data(), x.size()), b);
-        r.final_relres = relres;
-        if (relres < spec_.rtol) {
-          r.mark_converged();
-          break;
-        }
-        if (!std::isfinite(relres)) {
-          r.fail(SolveStatus::kNonFinite, stats.non_finite ? "hj1" : "relres");
-          break;
-        }
-        if (stats.iters == 0) {
-          // The cycle could not even start (beta zero/non-finite at r0).
-          r.fail(stats.non_finite ? SolveStatus::kNonFinite : SolveStatus::kBreakdown,
-                 "beta");
-          break;
-        }
-        // Attribute restart-budget exhaustion without altering the restart
-        // control flow (breakdown cycles restart — conformance-pinned).
-        if (stats.non_finite) {
-          r.fail(SolveStatus::kNonFinite, "hj1");
-        } else if (stats.breakdown) {
-          r.fail(SolveStatus::kBreakdown, "hj1");
-        } else {
-          r.fail(SolveStatus::kMaxIters);
-        }
-        if (stag.stalled(r, relres, spec_.stagnate_window, "relres")) break;
-        ++r.restarts;
-      }
-      solver.set_iteration_log(nullptr);
-      if (spec_.record_history)
-        for (double e : estimates) r.history.push_back(e / bref);
-      return r;
-    });
-    res.spmv_count = op.spmv_count();
-    return res;
-  }
-
- private:
-  SolverSpec spec_;
-  const PreparedProblem* p_;
-  std::shared_ptr<PrimaryPrecond> m_;
-  SolverWorkspace* ws_;
-};
-
 // -------------------------------------------------------------- ir-gmres
 
 /// Conventional mixed-precision baseline: fp64 iterative refinement
@@ -316,7 +241,9 @@ class IrGmresEngine final : public SolverEngine {
 
 // ---------------------------------------------------------------- nested
 
-/// Any nested tuple (F3R, the Table 4 variants, custom configurations).
+/// Any nested tuple (F3R, the Table 4 variants, custom configurations) and
+/// the flat FGMRES(m) baseline, which is the one-level tuple (F^m, M).
+/// NestedSolver::solve fills every per-column counter itself.
 class NestedEngine final : public SolverEngine {
  public:
   NestedEngine(const PreparedProblem& p, std::shared_ptr<PrimaryPrecond> m,
@@ -327,21 +254,14 @@ class NestedEngine final : public SolverEngine {
 
   SolveResult solve(std::span<const double> b, std::span<double> x) override {
     NestedSolver solver(p_->a, m_, cfg_, ws_);
-    const std::uint64_t calls0 = m_->invocations();
-    SolveResult res = solver.solve(b, x, term_);
-    res.precond_invocations = m_->invocations() - calls0;
-    return res;
+    return solver.solve(b, x, term_);
   }
 
   std::vector<SolveResult> solve_many(std::span<const double> B, std::span<double> X,
                                       int k) override {
     NestedSolver solver(p_->a, m_, cfg_, ws_);
     const std::ptrdiff_t n = static_cast<std::ptrdiff_t>(p_->b.size());
-    const std::uint64_t calls0 = m_->invocations();
-    auto res = solver.solve_many(B.data(), n, X.data(), n, k, term_);
-    const std::uint64_t calls = m_->invocations() - calls0;
-    for (auto& r : res) r.precond_invocations = calls;
-    return res;
+    return solver.solve_many(B.data(), n, X.data(), n, k, term_);
   }
 
  private:
@@ -358,6 +278,29 @@ Termination termination_of(const SolverSpec& spec) {
   t.max_restarts = spec.max_restarts;
   t.record_history = spec.record_history;
   t.stagnate_window = spec.stagnate_window;
+  return t;
+}
+
+/// FGMRES(m) with a `storage`-precision M handle — the paper's FGMRES(64)
+/// baseline — as the depth-1 tuple (F^m, M): one fp64 level over fp64 A.
+NestedConfig fgmres_config(const SolverSpec& spec) {
+  LevelSpec outer;
+  outer.kind = SolverKind::FGMRES;
+  outer.m = spec.m;
+  NestedConfig cfg;
+  cfg.name = std::string(prec_name(eff_storage(spec))) + "-FGMRES(" +
+             std::to_string(spec.m) + ")";
+  cfg.levels = {outer};
+  cfg.precond_storage = eff_storage(spec);
+  return cfg;
+}
+
+/// The flat kind's budget is `max-iters=` alone: it restarts until that
+/// many outer iterations have run and ignores `restarts=`.
+Termination fgmres_termination(const SolverSpec& spec) {
+  Termination t = termination_of(spec);
+  t.max_restarts = std::numeric_limits<int>::max();
+  t.max_iters = spec.max_iters;
   return t;
 }
 
@@ -497,7 +440,8 @@ void register_builtin_kinds(Registry& r) {
   r.add_solver({"fgmres", "fp64 restarted FGMRES(m)", true, 64, true, true},
                [](const SolverSpec& s, const PreparedProblem& p,
                   std::shared_ptr<PrimaryPrecond> m, SolverWorkspace* ws) {
-                 return std::make_unique<FgmresEngine>(s, p, std::move(m), ws);
+                 return std::make_unique<NestedEngine>(p, std::move(m), fgmres_config(s),
+                                                       fgmres_termination(s), ws);
                });
   r.add_solver({"ir-gmres", "fp64 iterative refinement + low-precision GMRES(m) inner",
                 true, 8, true, false},

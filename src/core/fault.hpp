@@ -155,12 +155,6 @@ class FaultyOperator final : public Operator<VT> {
     if (fires())
       for (int c = 0; c < k; ++c) poison(y + static_cast<std::ptrdiff_t>(c) * ldy);
   }
-  void residual_many(const VT* b, std::ptrdiff_t ldb, const VT* x, std::ptrdiff_t ldx,
-                     VT* r, std::ptrdiff_t ldr, int k) override {
-    inner_->residual_many(b, ldb, x, ldx, r, ldr, k);
-    if (fires())
-      for (int c = 0; c < k; ++c) poison(r + static_cast<std::ptrdiff_t>(c) * ldr);
-  }
   [[nodiscard]] index_t size() const override { return inner_->size(); }
 
  private:

@@ -254,7 +254,10 @@ SolveResult NestedSolver::solve(std::span<const double> b, std::span<double> x,
   // breakdown / non-finite norm) name WHY a failed attempt stopped.
   StagnationGuard stag;
   bool x_nonzero = kx_.nrm2(std::span<const double>(x.data(), x.size())) > 0.0;
-  for (int cycle = 0; cycle <= term.max_restarts; ++cycle) {
+  // The break at the loop's end stops the counter AT max_restarts, so an
+  // unbounded cap (INT_MAX) cannot overflow it.
+  for (int cycle = 0; cycle <= term.max_restarts && res.iterations < term.max_iters;
+       ++cycle) {
     const auto stats = outer_->run(b, x, target, x_nonzero);
     res.iterations += stats.iters;
     res.restarts = cycle;
@@ -270,6 +273,14 @@ SolveResult NestedSolver::solve(std::span<const double> b, std::span<double> x,
       res.fail(SolveStatus::kNonFinite, stats.non_finite ? "hj1" : "relres");
       break;
     }
+    if (stats.iters == 0) {
+      // The cycle could not even start (beta zero/non-finite at r0).  A
+      // rerun would repeat it, and with only an iteration budget bounding
+      // the loop it would never end.
+      res.fail(stats.non_finite ? SolveStatus::kNonFinite : SolveStatus::kBreakdown,
+               "beta");
+      break;
+    }
     // Attribute the terminal cause WITHOUT altering the restart control
     // flow (restart-on-breakdown is the conformance-pinned behavior: the
     // cycle's x update may still make progress).  If the budget runs out,
@@ -282,6 +293,7 @@ SolveResult NestedSolver::solve(std::span<const double> b, std::span<double> x,
       res.fail(SolveStatus::kMaxIters);
     }
     if (stag.stalled(res, relres, term.stagnate_window, "relres")) break;
+    if (cycle == term.max_restarts) break;
   }
   outer_->set_iteration_log(nullptr);
 

@@ -19,6 +19,7 @@
 #pragma once
 
 #include <functional>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -144,6 +145,10 @@ struct NestedConfig {
 struct Termination {
   double rtol = 1e-8;    ///< on true fp64 ‖b−Ax‖/‖b‖
   int max_restarts = 3;  ///< the paper restarts F3R at most 3×  (300 outer its)
+  /// Outer-iteration budget, checked before every restart cycle (a cycle
+  /// that starts runs to its end).  The fgmres kind is bounded by this
+  /// alone; f3r and the Table 4 variants leave it uncapped.
+  int max_iters = std::numeric_limits<int>::max();
   bool record_history = true;
   /// Stagnation guard at restart-cycle granularity: stop with kStagnated
   /// after this many consecutive cycles without true-residual progress
@@ -174,7 +179,8 @@ class NestedSolver {
                std::string ws_prefix = "");
 
   /// Solve A x = b (x holds the initial guess, normally 0).  Restarts the
-  /// whole tuple up to term.max_restarts times.
+  /// whole tuple up to term.max_restarts times while fewer than
+  /// term.max_iters outer iterations have run.
   SolveResult solve(std::span<const double> b, std::span<double> x, const Termination& term);
 
   /// Batched solve: k systems sharing this tuple's setup (column c of B/X

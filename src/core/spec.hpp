@@ -28,10 +28,12 @@
 // on the head is an alias, and giving both is an error).  An unset backend means "resolve at build
 // time": Session falls back to NKRYLOV_BACKEND, then the host default.
 // Preconditioner options: nblocks=, omega=, degree=.  max-iters= caps the
-// flat solvers; the nested kinds bound their outer work by restarts=
-// instead (the outer FGMRES runs at most (restarts+1)·m1 iterations) and
-// ignore max-iters.  Options a kind has no use for are accepted and
-// ignored, so one option tail can serve a whole sweep of kinds.
+// flat kinds and fgmres, which restarts until that budget is spent and
+// ignores restarts=.  The other nested kinds (f3r, the Table 4 variants)
+// bound their outer work by restarts= instead (the outer FGMRES runs at
+// most (restarts+1)·m1 iterations) and ignore max-iters.  Options a kind
+// has no use for are accepted and ignored, so one option tail can serve a
+// whole sweep of kinds.
 //
 // The solver token's '@prec' is the kind's PRECISION AXIS: the storage
 // precision of M for the flat Krylov solvers (the paper's "fp16-CG"), the
@@ -99,8 +101,8 @@ struct SolverSpec {
 
   // Termination (the paper's defaults).
   double rtol = 1e-8;        ///< on the true fp64 relative residual
-  int max_iters = 19200;     ///< flat-solver iteration cap
-  int max_restarts = 3;      ///< nested-solver restart cap
+  int max_iters = 19200;     ///< flat-kind and fgmres iteration cap
+  int max_restarts = 3;      ///< restart cap of the other nested kinds
   bool record_history = true;
 
   // Batching (solve_many scheduling; see CgSolver).

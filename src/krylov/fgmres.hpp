@@ -22,19 +22,18 @@
 // Lifecycle (the setup/solve split): construction binds the configuration;
 // setup(a, m) binds a matrix/preconditioner pair and acquires every buffer
 // from a SolverWorkspace — an external one shared across solvers and
-// matrices, or a private fallback.  After setup, run()/apply()/run_many()
-// perform no allocation, and a later setup() against an equally-sized (or
-// smaller) system reuses the same memory.
+// matrices, or a private fallback.  After setup, run()/apply() perform no
+// allocation, and a later setup() against an equally-sized (or smaller)
+// system reuses the same memory.
 //
-// The same class serves three roles:
+// The same class serves two roles:
 //   * inner solver: apply() — solve A z ≈ v from a zero initial guess for
 //     exactly m iterations, no convergence test (the paper checks
 //     convergence only in the outermost solver);
 //   * outer solver: run() — iterate from a given x with an absolute
-//     residual target, reporting the Givens residual estimate;
-//   * batched outer solver: run_many() — k right-hand sides in lockstep,
-//     sharing every matrix sweep (SpMM) and preconditioner sweep across
-//     the batch while reproducing run()'s per-column iterates exactly.
+//     residual target, reporting the Givens residual estimate.  The
+//     restart loop around it lives in NestedSolver::solve, which also
+//     runs the flat FGMRES(m) baseline as the one-level tuple (F^m, M).
 #pragma once
 
 #include <algorithm>
@@ -201,177 +200,6 @@ class FgmresSolver final : public Preconditioner<VT> {
     return stats;
   }
 
-  /// Batched outer interface: advance k right-hand sides in lockstep
-  /// through one FGMRES cycle.  Column c of B/X lives at b + c·ldb and
-  /// x + c·ldx.  While every column stays live the preconditioner and
-  /// operator are applied once per step for the whole batch (one matrix
-  /// sweep via SpMM); per column the operation sequence — and therefore
-  /// every iterate and the Givens estimate — is identical to run() on that
-  /// column alone, provided M is stateless across apply() calls (primary
-  /// preconditioners are; nested tuples with adaptive Richardson state are
-  /// batched by NestedSolver::solve_many instead, which preserves the
-  /// state's invocation order).  A column that converges or breaks down is
-  /// frozen and costs nothing further.  No iteration log is recorded.
-  ///
-  /// The survivor set is compacted: once a column freezes, the per-step
-  /// preconditioner and operator sweeps run at the CURRENT active width
-  /// over gather panels (active columns' v_j gathered to contiguous slots,
-  /// z_j scattered back into their per-column basis blocks),
-  /// re-dispatching through the compile-time k = 4/8/16 kernels as the
-  /// set shrinks.  The basis blocks, Hessenberg data, and every per-column
-  /// operation are untouched by compaction, so iterates match run() to the
-  /// bit.
-  std::vector<RunStats> run_many(const VT* b, std::ptrdiff_t ldb, VT* x,
-                                 std::ptrdiff_t ldx, int k, double abs_target,
-                                 bool x_nonzero = true) {
-    std::vector<RunStats> stats(static_cast<std::size_t>(std::max(k, 0)));
-    if (k <= 0) return stats;
-    const std::size_t kk = static_cast<std::size_t>(k);
-    const std::size_t mm = static_cast<std::size_t>(cfg_.m);
-    const std::size_t vstr = (mm + 1) * n_;  // one column's V block
-    const std::size_t zstr = mm * n_;
-    SolverWorkspace& w = wsref();
-    auto VB = w.get<VT>(key_ + ".bat.V", kk * vstr);
-    auto ZB = w.get<VT>(key_ + ".bat.Z", kk * zstr);
-    auto WB = w.get<VT>(key_ + ".bat.w", kk * n_);
-    auto HB = w.get<S>(key_ + ".bat.h", kk * (mm + 1) * mm);
-    auto GB = w.get<S>(key_ + ".bat.g", kk * (mm + 1));
-    auto CS = w.get<S>(key_ + ".bat.cs", kk * mm);
-    auto SN = w.get<S>(key_ + ".bat.sn", kk * mm);
-    auto YB = w.get<S>(key_ + ".bat.y", kk * mm);
-    auto HC = w.get<S>(key_ + ".bat.hcol", kk * (mm + 1));
-    auto beta = w.get<S>(key_ + ".bat.beta", kk);
-    // Compaction state: gather panels for v_j / z_j and the sorted
-    // active→original map.
-    auto VS = w.get<VT>(key_ + ".bat.vs", kk * n_);
-    auto ZS = w.get<VT>(key_ + ".bat.zs", kk * n_);
-    auto map = w.get<int>(key_ + ".bat.map", kk);
-
-    auto vc = [&](int c, int j) {
-      return std::span<VT>(VB.data() + static_cast<std::size_t>(c) * vstr +
-                               static_cast<std::size_t>(j) * n_, n_);
-    };
-    auto zc = [&](int c, int j) {
-      return std::span<VT>(ZB.data() + static_cast<std::size_t>(c) * zstr +
-                               static_cast<std::size_t>(j) * n_, n_);
-    };
-    auto wc = [&](int slot) {
-      return std::span<VT>(WB.data() + static_cast<std::size_t>(slot) * n_, n_);
-    };
-
-    // r0 per column (one shared A sweep when x is nonzero).
-    if (x_nonzero) {
-      a_->residual_many(b, ldb, x, ldx, VB.data(), static_cast<std::ptrdiff_t>(vstr), k);
-    } else {
-      for (int c = 0; c < k; ++c)
-        this->kern_table().copy(std::span<const VT>(b + static_cast<std::ptrdiff_t>(c) * ldb, n_),
-                   vc(c, 0));
-    }
-    int nactive = 0;
-    for (int c = 0; c < k; ++c) {
-      beta[c] = this->kern_table().nrm2(std::span<const VT>(vc(c, 0)));
-      const double bd = static_cast<double>(beta[c]);
-      if (!(bd > 0.0) || !std::isfinite(bd)) {
-        stats[c].residual_est = bd;
-        stats[c].non_finite = !std::isfinite(bd);
-        stats[c].reached_target = bd <= abs_target;
-        continue;
-      }
-      this->kern_table().scal(S{1} / beta[c], vc(c, 0));
-      S* g = GB.data() + static_cast<std::size_t>(c) * (mm + 1);
-      std::fill(g, g + mm + 1, S{0});
-      g[0] = beta[c];
-      map[nactive++] = c;
-    }
-
-    const int m = cfg_.m;
-    for (int j = 0; j < m && nactive > 0; ++j) {
-      // Preconditioner + operator at the current width.  The survivor map
-      // is always sorted (stable compaction), so whenever the live set is
-      // a contiguous column range — always at full width, and typically
-      // under FIFO wave retirement — the applies run DIRECTLY on the basis
-      // blocks at their natural stride, zero copies.  A ragged survivor
-      // set gathers the active v_j into contiguous slots, applies at width
-      // nactive, and scatters z_j back into the per-column Z blocks.
-      // Either way each column's apply is bit-identical to run()'s, and
-      // M/A see exactly one application per live column.
-      const int c0 = map[0];
-      const bool direct = map[nactive - 1] - c0 == nactive - 1;
-      if (direct) {
-        m_->apply_many(VB.data() + static_cast<std::size_t>(c0) * vstr +
-                           static_cast<std::size_t>(j) * n_,
-                       static_cast<std::ptrdiff_t>(vstr),
-                       ZB.data() + static_cast<std::size_t>(c0) * zstr +
-                           static_cast<std::size_t>(j) * n_,
-                       static_cast<std::ptrdiff_t>(zstr), nactive);
-        a_->apply_many(ZB.data() + static_cast<std::size_t>(c0) * zstr +
-                           static_cast<std::size_t>(j) * n_,
-                       static_cast<std::ptrdiff_t>(zstr),
-                       WB.data() + static_cast<std::size_t>(c0) * n_,
-                       static_cast<std::ptrdiff_t>(n_), nactive);
-      } else {
-        for (int i = 0; i < nactive; ++i)
-          this->kern_table().copy(std::span<const VT>(vc(map[i], j)),
-                     std::span<VT>(VS.data() + static_cast<std::size_t>(i) * n_, n_));
-        m_->apply_many(VS.data(), static_cast<std::ptrdiff_t>(n_), ZS.data(),
-                       static_cast<std::ptrdiff_t>(n_), nactive);
-        a_->apply_many(ZS.data(), static_cast<std::ptrdiff_t>(n_), WB.data(),
-                       static_cast<std::ptrdiff_t>(n_), nactive);
-        for (int i = 0; i < nactive; ++i)
-          this->kern_table().copy(std::span<const VT>(ZS.data() + static_cast<std::size_t>(i) * n_, n_),
-                     zc(map[i], j));
-      }
-      // CGS + Givens per live column.  In direct mode column c's w vector
-      // sits at its original position c; in gather mode slot i's w sits at
-      // gather position i — `slot` abstracts the two.
-      int nkeep = 0;
-      for (int i = 0; i < nactive; ++i) {
-        const int c = map[i];
-        const int slot = direct ? c : i;
-        S* hcol = HC.data() + static_cast<std::size_t>(c) * (mm + 1);
-        S* g = GB.data() + static_cast<std::size_t>(c) * (mm + 1);
-        S* cs = CS.data() + static_cast<std::size_t>(c) * mm;
-        S* sn = SN.data() + static_cast<std::size_t>(c) * mm;
-        S* h = HB.data() + static_cast<std::size_t>(c) * (mm + 1) * mm;
-        const VT* vbase = VB.data() + static_cast<std::size_t>(c) * vstr;
-        this->kern_table().dot_many(vbase, static_cast<std::ptrdiff_t>(n_), j + 1,
-                       std::span<const VT>(wc(slot)), hcol);
-        this->kern_table().axpy_many(vbase, static_cast<std::ptrdiff_t>(n_), j + 1, hcol, wc(slot),
-                        /*subtract=*/true);
-        const S hj1 = this->kern_table().nrm2(std::span<const VT>(wc(slot)));
-        const double res = givens_update(hcol, g, cs, sn, h, j, hj1);
-        ++total_iterations_;
-        const bool breakdown =
-            !(static_cast<double>(hj1) > breakdown_tol_ * static_cast<double>(beta[c]));
-        stats[c].iters = j + 1;
-        stats[c].residual_est = std::abs(static_cast<double>(g[j + 1]));
-        if (breakdown || (abs_target > 0.0 && res <= abs_target)) {
-          stats[c].reached_target = res <= abs_target || breakdown;
-          stats[c].breakdown = breakdown && std::isfinite(static_cast<double>(hj1));
-          stats[c].non_finite = breakdown && !std::isfinite(static_cast<double>(hj1));
-          continue;
-        }
-        this->kern_table().scal_copy(S{1} / hj1, std::span<const VT>(wc(slot)), vc(c, j + 1));
-        map[nkeep++] = c;  // stable survivor compaction
-      }
-      nactive = nkeep;
-    }
-
-    // Per-column back substitution and solution update x_c += Z_c y_c.
-    for (int c = 0; c < k; ++c) {
-      const int kc = stats[c].iters;
-      if (kc == 0) continue;
-      S* g = GB.data() + static_cast<std::size_t>(c) * (mm + 1);
-      S* h = HB.data() + static_cast<std::size_t>(c) * (mm + 1) * mm;
-      S* y = YB.data() + static_cast<std::size_t>(c) * mm;
-      back_substitute(h, g, y, kc);
-      this->kern_table().axpy_many(ZB.data() + static_cast<std::size_t>(c) * zstr,
-                      static_cast<std::ptrdiff_t>(n_), kc, y,
-                      std::span<VT>(x + static_cast<std::ptrdiff_t>(c) * ldx, n_));
-    }
-    return stats;
-  }
-
   [[nodiscard]] index_t size() const override { return a_->size(); }
 
   /// Total Arnoldi steps across all invocations (cost-model validation).
@@ -392,8 +220,7 @@ class FgmresSolver final : public Preconditioner<VT> {
 
   /// Apply the accumulated Givens rotations to the new column `hcol`, form
   /// the rotation eliminating hj1, update g, and store the column into h.
-  /// Returns the updated residual estimate |g[j+1]|.  Shared verbatim by
-  /// the sequential and batched paths so they cannot drift.
+  /// Returns the updated residual estimate |g[j+1]|.
   double givens_update(S* hcol, S* g, S* cs, S* sn, S* h, int j, S hj1) {
     for (int i = 0; i < j; ++i) {
       const S t = cs[i] * hcol[i] + sn[i] * hcol[i + 1];

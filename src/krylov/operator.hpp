@@ -28,25 +28,16 @@ class Operator {
   /// r = b - A x (fused).
   virtual void residual(std::span<const VT> b, std::span<const VT> x, std::span<VT> r) = 0;
 
-  /// Y_c = A X_c for k batch columns (column c at x + c·ldx / y + c·ldy).
-  /// Column results are bit-identical to k apply() calls; the default loops,
-  /// concrete operators override with an SpMM that streams A only once.
+  /// Y_c = A X_c for k batch columns (column c at x + c·ldx / y + c·ldy),
+  /// the batched CG/BiCGStab products.  Column results are bit-identical to
+  /// k apply() calls; the default loops, concrete operators override with
+  /// an SpMM that streams A only once.
   virtual void apply_many(const VT* x, std::ptrdiff_t ldx, VT* y, std::ptrdiff_t ldy,
                           int k) {
     const std::size_t n = static_cast<std::size_t>(size());
     for (int c = 0; c < k; ++c)
       apply(std::span<const VT>(x + static_cast<std::ptrdiff_t>(c) * ldx, n),
             std::span<VT>(y + static_cast<std::ptrdiff_t>(c) * ldy, n));
-  }
-
-  /// R_c = B_c − A X_c for k batch columns (fused batched residual).
-  virtual void residual_many(const VT* b, std::ptrdiff_t ldb, const VT* x,
-                             std::ptrdiff_t ldx, VT* r, std::ptrdiff_t ldr, int k) {
-    const std::size_t n = static_cast<std::size_t>(size());
-    for (int c = 0; c < k; ++c)
-      residual(std::span<const VT>(b + static_cast<std::ptrdiff_t>(c) * ldb, n),
-               std::span<const VT>(x + static_cast<std::ptrdiff_t>(c) * ldx, n),
-               std::span<VT>(r + static_cast<std::ptrdiff_t>(c) * ldr, n));
   }
 
   [[nodiscard]] virtual index_t size() const = 0;
@@ -81,11 +72,6 @@ class CsrOperator final : public Operator<VT> {
     this->count_ += static_cast<std::uint64_t>(k);  // k column-SpMVs, one A sweep
     kx_.spmm(*a_, x, ldx, y, ldy, k);
   }
-  void residual_many(const VT* b, std::ptrdiff_t ldb, const VT* x, std::ptrdiff_t ldx,
-                     VT* r, std::ptrdiff_t ldr, int k) override {
-    this->count_ += static_cast<std::uint64_t>(k);
-    kx_.residual_many(*a_, x, ldx, b, ldb, r, ldr, k);
-  }
   [[nodiscard]] index_t size() const override { return a_->nrows; }
 
   [[nodiscard]] const CsrMatrix<MT>& matrix() const { return *a_; }
@@ -114,11 +100,6 @@ class SellOperator final : public Operator<VT> {
                   int k) override {
     this->count_ += static_cast<std::uint64_t>(k);
     kx_.spmm(*a_, x, ldx, y, ldy, k);
-  }
-  void residual_many(const VT* b, std::ptrdiff_t ldb, const VT* x, std::ptrdiff_t ldx,
-                     VT* r, std::ptrdiff_t ldr, int k) override {
-    this->count_ += static_cast<std::uint64_t>(k);
-    kx_.residual_many(*a_, x, ldx, b, ldb, r, ldr, k);
   }
   [[nodiscard]] index_t size() const override { return a_->nrows; }
 

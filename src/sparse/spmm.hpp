@@ -9,8 +9,8 @@
 // matrix values and indices — is shared across the whole batch.  For a
 // memory-bound solve this is the single biggest lever batching has.
 //
-// Numerical contract: column c of spmm()/residual_many() performs exactly
-// the accumulation sequence spmv()/residual() performs on that column
+// Numerical contract: column c of spmm() performs exactly the
+// accumulation sequence spmv() performs on that column
 // (detail::row_dot's per-row order for CSR — including its four-way fp16
 // partial-sum grouping — and the SIMD slice sweep for SELL), so batched
 // and sequential solves produce bit-identical iterates per right-hand
@@ -156,34 +156,6 @@ void spmm(const CsrMatrix<MT>& a, const XT* x, std::ptrdiff_t ldx, YT* y,
   }
 }
 
-/// Y_c = B_c − A X_c over CSR (fused batched residual).
-template <class MT, class XT, class BT, class YT,
-          class Acc = promote_t<promote_t<MT, XT>, BT>>
-void residual_many(const CsrMatrix<MT>& a, const XT* x, std::ptrdiff_t ldx, const BT* b,
-                   std::ptrdiff_t ldb, YT* y, std::ptrdiff_t ldy, int k) {
-  const std::ptrdiff_t n = a.nrows;
-  const std::ptrdiff_t work = static_cast<std::ptrdiff_t>(a.nnz()) * std::max(k, 1);
-  const index_t* __restrict rp = a.row_ptr.data();
-  const index_t* __restrict ci = a.col_idx.data();
-  const MT* __restrict v = a.vals.data();
-  for (int c0 = 0; c0 < k;) {
-    const int kc = spmm_detail::next_group(k - c0);
-    const XT* xg = x + static_cast<std::ptrdiff_t>(c0) * ldx;
-    const BT* bg = b + static_cast<std::ptrdiff_t>(c0) * ldb;
-    YT* yg = y + static_cast<std::ptrdiff_t>(c0) * ldy;
-    spmm_detail::dispatch_cols(kc, [&]<int KC>() {
-#pragma omp parallel for schedule(static) if (work > blas::parallel_threshold())
-      for (std::ptrdiff_t i = 0; i < n; ++i)
-        spmm_detail::row_dots<MT, XT, Acc, KC>(
-            v, ci, xg, ldx, kc, rp[i], rp[i + 1], [&](int c, Acc s) {
-              yg[static_cast<std::ptrdiff_t>(c) * ldy + i] = static_cast<YT>(
-                  static_cast<Acc>(bg[static_cast<std::ptrdiff_t>(c) * ldb + i]) - s);
-            });
-    });
-    c0 += kc;
-  }
-}
-
 /// Y_c = A X_c over SELL-C: per slice, the SIMD column-major sweep runs
 /// once per batch column while the slice's values/indices stay in cache.
 template <class MT, class XT, class YT, class Acc = promote_t<MT, XT>>
@@ -210,41 +182,6 @@ void spmm(const SellMatrix<MT>& a, const XT* x, std::ptrdiff_t ldx, YT* y,
         for (index_t i = r0; i < r1; ++i)
           yc[i] = static_cast<YT>(sell_detail::lane_dot<MT, XT, Acc>(
               a.vals.data(), a.cols.data(), xc, base, i - r0, w, C));
-      }
-    }
-  }
-}
-
-/// Y_c = B_c − A X_c over SELL-C (fused batched residual).
-template <class MT, class XT, class BT, class YT,
-          class Acc = promote_t<promote_t<MT, XT>, BT>>
-void residual_many(const SellMatrix<MT>& a, const XT* x, std::ptrdiff_t ldx, const BT* b,
-                   std::ptrdiff_t ldb, YT* y, std::ptrdiff_t ldy, int k) {
-  const index_t ns = a.nslices();
-  const int C = a.chunk;
-  const std::ptrdiff_t work =
-      static_cast<std::ptrdiff_t>(a.padded_nnz()) * std::max(k, 1);
-#pragma omp parallel for schedule(static) if (work > blas::parallel_threshold())
-  for (std::ptrdiff_t sl = 0; sl < static_cast<std::ptrdiff_t>(ns); ++sl) {
-    const index_t r0 = static_cast<index_t>(sl) * C;
-    const index_t r1 = std::min<index_t>(r0 + C, a.nrows);
-    const index_t base = a.slice_ptr[sl];
-    const index_t w = a.slice_width[sl];
-    for (int c = 0; c < k; ++c) {
-      const XT* xc = x + static_cast<std::ptrdiff_t>(c) * ldx;
-      const BT* bc = b + static_cast<std::ptrdiff_t>(c) * ldb;
-      YT* yc = y + static_cast<std::ptrdiff_t>(c) * ldy;
-      if (C <= kSellSimdMaxChunk) {
-        sell_detail::slice_sweep_simd<MT, XT, Acc>(
-            a.vals.data(), a.cols.data(), xc, base, w, C, r0, r1, [&](index_t i, Acc s) {
-              yc[i] = static_cast<YT>(static_cast<Acc>(bc[i]) - s);
-            });
-      } else {
-        for (index_t i = r0; i < r1; ++i) {
-          const Acc s = sell_detail::lane_dot<MT, XT, Acc>(a.vals.data(), a.cols.data(), xc,
-                                                           base, i - r0, w, C);
-          yc[i] = static_cast<YT>(static_cast<Acc>(bc[i]) - s);
-        }
       }
     }
   }

@@ -150,9 +150,9 @@ std::string cell_spec(const std::string& solver_kind, const std::string& prec,
   s += "@" + prec;
   s += ";rtol=" + fmt(rtol);
   if (solver_kind == "f3r") {
-    // Nested kinds bound outer work by restarts (default 3 → 400 outer
-    // iterations); --max-iters caps only the flat solvers.  Histories are
-    // dead weight at catalog scale.
+    // F3R bounds outer work by restarts (default 3 → 400 outer
+    // iterations); --max-iters caps the flat solvers and fgmres.
+    // Histories are dead weight at catalog scale.
     s += ";nohist";
   } else {
     s += ";max-iters=" + std::to_string(max_iters);

@@ -174,6 +174,18 @@ TEST(NestedSolver, RestartsCountedAndCapped) {
   // inner pipeline solves the correction (nearly) exactly.
   EXPECT_GE(res.iterations, 3);
   EXPECT_LE(res.iterations, 6);
+
+  // The flat fgmres kind is the one-level tuple (F^8, M) bounded by the
+  // iteration budget alone: the seventh cycle still starts (48 < 50) and
+  // runs whole, and six restarts happened.  SpMVs = 56 Arnoldi products +
+  // one residual per restarted cycle.
+  const auto f =
+      Session(borrow_problem(p), "fgmres8/none;rtol=1e-300;max-iters=50").solve();
+  EXPECT_EQ(f.status, SolveStatus::kMaxIters);
+  EXPECT_EQ(f.iterations, 56);
+  EXPECT_EQ(f.precond_invocations, 56u);
+  EXPECT_EQ(f.spmv_count, 62u);
+  EXPECT_EQ(f.restarts, 6);
 }
 
 TEST(NestedSolver, HistoryRecordsOuterEstimates) {

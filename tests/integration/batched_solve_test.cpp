@@ -25,7 +25,6 @@
 #include "core/variants.hpp"
 #include "krylov/bicgstab.hpp"
 #include "krylov/cg.hpp"
-#include "krylov/fgmres.hpp"
 #include "krylov/richardson.hpp"
 #include "precond/block_jacobi_ilu0.hpp"
 #include "precond/jacobi.hpp"
@@ -156,43 +155,6 @@ TEST(BatchedSolve, BicgstabExactColumnAgreement) {
       EXPECT_EQ(many[c].converged, one.converged) << "c=" << c;
       EXPECT_EQ(many[c].iterations, one.iterations) << "c=" << c;
       ASSERT_EQ(many[c].history.size(), one.history.size()) << "c=" << c;
-      for (std::size_t i = 0; i < n; ++i)
-        ASSERT_EQ(X[static_cast<std::size_t>(c) * n + i], x[i]) << "c=" << c << " i=" << i;
-    }
-  }
-}
-
-// --------------------------------------------------------------- FGMRES
-
-TEST(BatchedSolve, FgmresRunManyExactColumnAgreement) {
-  SingleThreadGuard guard;
-  const auto a = test::scaled_convdiff2d(18, 10.0);
-  const std::size_t n = static_cast<std::size_t>(a.nrows);
-  JacobiPrecond jac(a);
-
-  for (int k : {0, 1, 4}) {
-    const auto B = make_batch(n, k, 41);
-    std::vector<double> X(n * static_cast<std::size_t>(k), 0.0);
-    CsrOperator<double, double> op_b(a);
-    auto h_b = jac.make_apply<double>(Prec::FP64);
-    FgmresSolver<double> batched(op_b, *h_b, {.m = 40});
-    // Absolute target chosen so some columns stop early and freeze while
-    // the rest keep iterating (exercises active-set compaction).
-    const auto many = batched.run_many(B.data(), static_cast<std::ptrdiff_t>(n), X.data(),
-                                       static_cast<std::ptrdiff_t>(n), k, 1e-6,
-                                       /*x_nonzero=*/false);
-    ASSERT_EQ(many.size(), static_cast<std::size_t>(k));
-    for (int c = 0; c < k; ++c) {
-      CsrOperator<double, double> op_s(a);
-      auto h_s = jac.make_apply<double>(Prec::FP64);
-      FgmresSolver<double> seq(op_s, *h_s, {.m = 40});
-      std::vector<double> x(n, 0.0);
-      const auto one =
-          seq.run(std::span<const double>(B.data() + static_cast<std::size_t>(c) * n, n),
-                  std::span<double>(x), 1e-6, /*x_nonzero=*/false);
-      EXPECT_EQ(many[c].iters, one.iters) << "c=" << c;
-      EXPECT_EQ(many[c].reached_target, one.reached_target) << "c=" << c;
-      EXPECT_EQ(many[c].residual_est, one.residual_est) << "c=" << c;
       for (std::size_t i = 0; i < n; ++i)
         ASSERT_EQ(X[static_cast<std::size_t>(c) * n + i], x[i]) << "c=" << c << " i=" << i;
     }
@@ -508,47 +470,6 @@ TEST(BatchedCompaction, BicgstabCompactMatchesSequential) {
         ASSERT_EQ(Xc[static_cast<std::size_t>(c) * n + i], x[i])
             << "wave=" << wave << " c=" << c << " i=" << i;
     }
-  }
-}
-
-TEST(BatchedCompaction, FgmresCompactMatchesRun) {
-  // Columns spanning few eigenvectors break down (hit their Krylov degree)
-  // at staggered steps within one cycle; the compact path must gather the
-  // survivors and still reproduce run()'s per-column data exactly.
-  SingleThreadGuard guard;
-  const auto a = test::scaled_laplace2d(18, 18);
-  const std::size_t n = static_cast<std::size_t>(a.nrows);
-  const int k = 6;
-  const auto B = staggered_batch(18, 18, {2, 0, 4, 8, 0, 3}, 161);
-  JacobiPrecond jac(a);
-
-  FgmresSolver<double>::Config cfg{.m = 30};
-  std::vector<double> Xc(n * k, 0.0);
-  CsrOperator<double, double> op_c(a);
-  auto h_c = jac.make_apply<double>(Prec::FP64);
-  FgmresSolver<double> compact(op_c, *h_c, cfg);
-  const auto many_c = compact.run_many(B.data(), static_cast<std::ptrdiff_t>(n), Xc.data(),
-                                       static_cast<std::ptrdiff_t>(n), k, 1e-8,
-                                       /*x_nonzero=*/false);
-
-
-  bool staggered = false;
-  for (int c = 1; c < k; ++c) staggered = staggered || many_c[c].iters != many_c[0].iters;
-  EXPECT_TRUE(staggered) << "test needs columns retiring at different steps";
-
-  for (int c = 0; c < k; ++c) {
-    CsrOperator<double, double> op_s(a);
-    auto h_s = jac.make_apply<double>(Prec::FP64);
-    FgmresSolver<double> seq(op_s, *h_s, {.m = 30});
-    std::vector<double> x(n, 0.0);
-    const auto one =
-        seq.run(std::span<const double>(B.data() + static_cast<std::size_t>(c) * n, n),
-                std::span<double>(x), 1e-8, /*x_nonzero=*/false);
-    EXPECT_EQ(many_c[c].iters, one.iters) << "c=" << c;
-    EXPECT_EQ(many_c[c].reached_target, one.reached_target) << "c=" << c;
-    EXPECT_EQ(many_c[c].residual_est, one.residual_est) << "c=" << c;
-    for (std::size_t i = 0; i < n; ++i)
-      ASSERT_EQ(Xc[static_cast<std::size_t>(c) * n + i], x[i]) << "c=" << c << " i=" << i;
   }
 }
 

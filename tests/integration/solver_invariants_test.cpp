@@ -8,7 +8,9 @@
 //   * solution agreement — different solver families land on the same x
 //     (not just the same residual norm);
 //   * restart consistency — an F3R solve interrupted by small m1 and
-//     restarted reaches the same accuracy as a single large cycle.
+//     restarted reaches the same accuracy as a single large cycle;
+//   * warm starts — every kind continues from the caller's initial guess
+//     instead of treating it as zero.
 #include <gtest/gtest.h>
 
 #include <tuple>
@@ -120,6 +122,26 @@ TEST(RestartConsistency, SmallM1WithRestartsReachesSameAccuracy) {
   ASSERT_TRUE(test::converged(small));
   EXPECT_LT(small.final_relres, 1e-8);
   EXPECT_GT(small.restarts, 0);
+}
+
+TEST(WarmStart, NearSolutionGuessNeverCostsMoreIterations) {
+  // A guess 0.999·x* leaves a residual 1000× below the cold one, so no
+  // kind may need more iterations from it than from zero.  A kind whose
+  // first cycle ignores x (restarting from r0 = b) pays the cold solve in
+  // full and then some.
+  const auto p = std::make_shared<const PreparedProblem>(prepare_standin("hpcg_4_4_4", -4));
+  const std::size_t n = p->b.size();
+  for (const char* spec :
+       {"cg/bj@fp64", "bicgstab/bj@fp64", "fgmres64/bj@fp64", "ir-gmres8/bj@fp64", "f3r@fp64"}) {
+    Session s(p, spec);
+    std::vector<double> x(n, 0.0);
+    const auto cold = s.solve(std::span<const double>(p->b), std::span<double>(x));
+    ASSERT_TRUE(test::converged(cold)) << spec;
+    for (double& v : x) v *= 0.999;
+    const auto warm = s.solve(std::span<const double>(p->b), std::span<double>(x));
+    EXPECT_TRUE(test::converged(warm)) << spec;
+    EXPECT_LE(warm.iterations, cold.iterations) << spec;
+  }
 }
 
 TEST(SeedSensitivity, DifferentRhsSameIterationScale) {

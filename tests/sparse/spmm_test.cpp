@@ -1,6 +1,6 @@
-// Tests for the batched multi-RHS kernels: spmm / residual_many over CSR
-// and SELL-C (sparse/spmm.hpp) and the column kernels dot_cols / axpy_cols
-// / axpby_cols (base/blas_block.hpp).  Mirrors blas_block_test's grid:
+// Tests for the batched multi-RHS kernels: spmm over CSR and SELL-C
+// (sparse/spmm.hpp) and the column kernels dot_cols / axpy_cols /
+// axpby_cols (base/blas_block.hpp).  Mirrors blas_block_test's grid:
 // edge sizes 0/1/3/4099, every MT/XT precision pair, SELL chunk-remainder
 // rows, and a forced multi-thread team re-run registered by CMake with
 // OMP_NUM_THREADS=4 + NKRYLOV_PAR_THRESHOLD=0 (the PR 2 scratch-buffer bug
@@ -107,58 +107,6 @@ TEST(Spmm, MatchesSpmvPerColumnAllPrecisionPairs) {
   check_spmm_pair<half, half>();
   check_spmm_pair<half, float>();  // F3R level 3: fp16 matrix, fp32 vectors
   check_spmm_pair<float, double>();
-}
-
-template <class MT, class XT>
-void check_residual_many_pair() {
-  for (index_t n : kSizes) {
-    const auto a64 = test_matrix(n, 5.0, 80);
-    const auto a = cast_matrix<MT>(a64);
-    const auto s = csr_to_sell(a, 32);
-    const std::size_t nn = static_cast<std::size_t>(n);
-    for (int k : kCounts) {
-      const auto x = typed_random<XT>(nn * static_cast<std::size_t>(k), 81);
-      const auto b = typed_random<XT>(nn * static_cast<std::size_t>(k), 82);
-      std::vector<XT> r(nn * static_cast<std::size_t>(k), XT{9});
-      std::vector<XT> rref(nn);
-
-      residual_many(a, x.data(), static_cast<std::ptrdiff_t>(nn), b.data(),
-                    static_cast<std::ptrdiff_t>(nn), r.data(),
-                    static_cast<std::ptrdiff_t>(nn), k);
-      for (int c = 0; c < k; ++c) {
-        residual(a, std::span<const XT>(x.data() + static_cast<std::size_t>(c) * nn, nn),
-                 std::span<const XT>(b.data() + static_cast<std::size_t>(c) * nn, nn),
-                 std::span<XT>(rref));
-        for (std::size_t i = 0; i < nn; ++i) {
-          const double ref = static_cast<double>(rref[i]);
-          ASSERT_NEAR(static_cast<double>(r[static_cast<std::size_t>(c) * nn + i]), ref,
-                      (csr_tol<MT, XT>(ref)))
-              << "csr n=" << n << " k=" << k << " c=" << c;
-        }
-      }
-
-      std::fill(r.begin(), r.end(), XT{9});
-      residual_many(s, x.data(), static_cast<std::ptrdiff_t>(nn), b.data(),
-                    static_cast<std::ptrdiff_t>(nn), r.data(),
-                    static_cast<std::ptrdiff_t>(nn), k);
-      for (int c = 0; c < k; ++c) {
-        residual(s, std::span<const XT>(x.data() + static_cast<std::size_t>(c) * nn, nn),
-                 std::span<const XT>(b.data() + static_cast<std::size_t>(c) * nn, nn),
-                 std::span<XT>(rref));
-        for (std::size_t i = 0; i < nn; ++i)
-          ASSERT_EQ(static_cast<double>(r[static_cast<std::size_t>(c) * nn + i]),
-                    static_cast<double>(rref[i]))
-              << "sell n=" << n << " k=" << k << " c=" << c;
-      }
-    }
-  }
-}
-
-TEST(ResidualMany, MatchesResidualPerColumnAllPrecisionPairs) {
-  check_residual_many_pair<double, double>();
-  check_residual_many_pair<float, float>();
-  check_residual_many_pair<half, half>();
-  check_residual_many_pair<half, float>();
 }
 
 TEST(Spmm, ZeroColumnsIsNoop) {

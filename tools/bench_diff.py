@@ -45,10 +45,17 @@ RATIO_PAIRS = [
 ]
 PRECISIONS = ["fp64", "fp32", "fp16"]
 
-# Records of deleted kernels (the interleaved-panel dot_cols).  A report
-# still carrying one predates the deletion: exit 2 like a rename/drop, so a
-# stale baseline is refreshed rather than silently half-compared.
-RETIRED_RECORDS = [f"dot_cols_cm_{p}_k8" for p in PRECISIONS]
+# Records of deleted code paths: the interleaved-panel dot_cols and the
+# lockstep batched FGMRES (FgmresSolver's former batched entry point).  A
+# report still carrying one predates the deletion: exit 2 like a
+# rename/drop, so a stale baseline is refreshed rather than silently
+# half-compared.
+RETIRED_FGMRES_STAGGERED = [
+    "fgmres_staggered16_seq_hpcg",
+    "fgmres_staggered16_compact_hpcg",
+    "fgmres_staggered16_speedup",
+]
+RETIRED_RECORDS = [f"dot_cols_cm_{p}_k8" for p in PRECISIONS] + RETIRED_FGMRES_STAGGERED
 
 # Native AVX-512 FP16 kernels vs the blas:: dispatch path (F16C unless the
 # env opts the natives in).  Absent from both files on machines without the
@@ -100,7 +107,6 @@ SPMM_PAIRS = [
 SOLVE_PAIRS = [
     ("solve_cg_batched_8rhs_laplace", "solve_cg_seq_8rhs_laplace"),
     ("solve_cg_staggered16_compact_hpcg", "solve_cg_staggered16_seq_hpcg"),
-    ("fgmres_staggered16_compact_hpcg", "fgmres_staggered16_seq_hpcg"),
 ]
 
 # Daemon-throughput pairs: amortized per-solve seconds of N concurrent
@@ -333,8 +339,8 @@ def self_test():
     del stale["axpy_many_fp32_k8"]
     expect("record missing from baseline exits 2", diff(synthetic(), stale, 0.25), 2)
 
-    # The staggered batched solves gate against the sequential solver; a
-    # baseline still carrying the retired masked-lockstep reference records
+    # The staggered batched solve gates against the sequential solver; a
+    # baseline still carrying the retired masked-lockstep reference record
     # is a rename and must fail loudly, not skip.
     masked_era = synthetic()
     for fused, ref in SOLVE_PAIRS[1:]:
@@ -347,9 +353,18 @@ def self_test():
     # its records predates that and must fail loudly, not pass.
     cm_era = synthetic()
     for name in RETIRED_RECORDS:
-        cm_era[name] = {"name": name, "seconds": 0.25, "gbps": 4.0}
+        if name.startswith("dot_cols_cm_"):
+            cm_era[name] = {"name": name, "seconds": 0.25, "gbps": 4.0}
     expect("retired dot_cols_cm records in the baseline exit 2",
            diff(synthetic(), cm_era, 0.25), 2)
+
+    # Likewise the lockstep batched FGMRES: its staggered-solve records in
+    # a baseline name a deleted path.
+    fgmres_era = synthetic()
+    for name in RETIRED_FGMRES_STAGGERED:
+        fgmres_era[name] = {"name": name, "seconds": 0.25, "gbps": 4.0}
+    expect("retired fgmres_staggered16 records in the baseline exit 2",
+           diff(synthetic(), fgmres_era, 0.25), 2)
 
     # Soft backend records: one-sided absence (a pre-seam baseline) skips
     # the pair instead of exiting 2 like a rename/drop would.
