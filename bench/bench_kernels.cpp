@@ -57,6 +57,7 @@
 #include "core/tune/shortlist.hpp"
 #include "krylov/cg.hpp"
 #include "krylov/operator.hpp"
+#include "precond/block_jacobi_ic0.hpp"
 #include "precond/block_jacobi_ilu0.hpp"
 #include "precond/jacobi.hpp"
 #include "sparse/gen/laplace.hpp"
@@ -829,6 +830,27 @@ void bench_ilu_apply(bench::JsonReport& rep, const CsrMatrix<double>& a64) {
   }
 }
 
+/// F3R's innermost M application: fp16 IC(0) factors on fp16 vectors, so
+/// the substitution itself runs in binary16 (the ilu_apply_* records above
+/// apply their factors to fp64 vectors).  Bytes: both factor sweeps (L,
+/// then L^T) at 2 B value + 4 B index per entry.
+void bench_ic_apply_fp16(bench::JsonReport& rep, const CsrMatrix<double>& a64) {
+  BlockJacobiIc0 ic(a64, BlockJacobiIc0::Config{64, 1.0});
+  const auto nn = static_cast<std::size_t>(a64.nrows);
+  const auto xd = random_vector<double>(nn, 56, 0.0, 1.0);
+  std::vector<half> x(nn), y(nn);
+  for (std::size_t i = 0; i < nn; ++i) x[i] = static_cast<half>(xd[i]);
+  auto h = ic.make_apply_fp16(Prec::FP16);
+  const double s = time_min([&] {
+    h->apply(std::span<const half>(x), std::span<half>(y));
+    asm volatile("" ::"r"(y.data()) : "memory");
+  });
+  const auto& f = ic.factors_fp64();
+  const double entries = static_cast<double>(f.l_val.size() + f.lt_val.size());
+  rep.add("ic_apply_fp16", a64.nrows, static_cast<std::int64_t>(a64.nnz()), s,
+          entries * (sizeof(half) + 4.0) / s / 1e9);
+}
+
 void bench_spmv(bench::JsonReport& rep, const std::string& mat_name, CsrMatrix<double> a64) {
   const auto a32 = cast_matrix<float>(a64);
   const auto a16 = cast_matrix<half>(a64);
@@ -1135,6 +1157,7 @@ int main(int argc, char** argv) {
   const index_t side = static_cast<index_t>(32 * scale);
   auto hpcg = gen::stencil27({.nx = side, .ny = side, .nz = side});
   bench_ilu_apply(rep, hpcg);
+  bench_ic_apply_fp16(rep, hpcg);
   bench_backends(rep, hpcg);
   bench_spmm(rep, "hpcg", hpcg);
   bench_spmv(rep, "hpcg", std::move(hpcg));

@@ -23,6 +23,10 @@
 #include "base/half.hpp"
 #include "base/simd_fp16.hpp"
 
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
 namespace nk {
 
 using index_t = std::int32_t;  // the paper stores indices as 32-bit integers
@@ -51,6 +55,55 @@ constexpr int greedy_group(int remaining, int max_tier) {
   if (remaining >= 4) return 4;
   return remaining;
 }
+
+namespace detail {
+
+/// The one parallel summation order of the host reductions (dot, nrm2,
+/// dot_many): [0, n4) splits into one contiguous chunk per team thread,
+/// ceil(n4/nt) rounded up to a multiple of 4 (so the fp16 four-way unroll
+/// stays aligned), `body(i0, i1, part)` accumulates `lanes` partial sums
+/// over its chunk, and the per-thread partials are added into
+/// acc[0, lanes) in thread order.  Deterministic for a fixed thread count
+/// — an OpenMP `reduction` clause combines in thread-arrival order — and
+/// identical to the serial chain body(0, n4, acc) when one thread runs, so
+/// a dot equals the matching dot_many column at every thread count.
+template <class W, class Body>
+void partial_sums(std::ptrdiff_t n4, int lanes, bool par, W* acc, Body&& body) {
+#ifdef _OPENMP
+  if (par) {
+    // Reusable team-wide scratch owned by the CALLING thread (grows, never
+    // shrinks: no malloc per call).  The pointer is hoisted before the
+    // parallel region — naming `partial` inside it would resolve to each
+    // worker's own (empty) thread_local instance.
+    // Each thread's slot is padded to whole cache lines, so the threads'
+    // final stores do not contend for one line.
+    constexpr int kLine = static_cast<int>(64 / sizeof(W));
+    const int stride = (lanes + kLine - 1) / kLine * kLine;
+    static thread_local std::vector<W> partial;
+    partial.assign(static_cast<std::size_t>(omp_get_max_threads()) * stride, W{0});
+    W* const part = partial.data();
+    int used = 1;
+#pragma omp parallel
+    {
+      const int nt = omp_get_num_threads();
+      const int tid = omp_get_thread_num();
+      if (tid == 0) used = nt;  // read after the region's closing barrier
+      const std::ptrdiff_t per = (((n4 + nt - 1) / nt) + 3) / 4 * 4;
+      const std::ptrdiff_t i0 = std::min<std::ptrdiff_t>(per * tid, n4);
+      const std::ptrdiff_t i1 = std::min<std::ptrdiff_t>(i0 + per, n4);
+      if (i0 < i1) body(i0, i1, part + static_cast<std::size_t>(tid) * stride);
+    }
+    for (int t = 0; t < used; ++t)
+      for (int j = 0; j < lanes; ++j) acc[j] += part[static_cast<std::size_t>(t) * stride + j];
+    return;
+  }
+#else
+  (void)par;
+#endif
+  body(0, n4, acc);
+}
+
+}  // namespace detail
 
 /// Chunk length for the tiled fp16 kernels below (fits L1 alongside the
 /// streamed operand).
@@ -234,66 +287,41 @@ auto dot(std::span<const TX> x, std::span<const TY> y) {
         return s;
       }
     }
-    W s0{0}, s1{0}, s2{0}, s3{0};
-#pragma omp parallel for schedule(static) reduction(+ : s0, s1, s2, s3) if (n > parallel_threshold())
-    for (std::ptrdiff_t i = 0; i < n - 3; i += 4) {
-      s0 += static_cast<W>(x[i]) * static_cast<W>(y[i]);
-      s1 += static_cast<W>(x[i + 1]) * static_cast<W>(y[i + 1]);
-      s2 += static_cast<W>(x[i + 2]) * static_cast<W>(y[i + 2]);
-      s3 += static_cast<W>(x[i + 3]) * static_cast<W>(y[i + 3]);
-    }
-    for (std::ptrdiff_t i = n - (n % 4); i < n; ++i)
-      s0 += static_cast<W>(x[i]) * static_cast<W>(y[i]);
-    return (s0 + s1) + (s2 + s3);
+    const std::ptrdiff_t n4 = n - (n % 4);
+    W acc[4] = {};
+    detail::partial_sums(n4, 4, n > parallel_threshold(), acc,
+                         [&](std::ptrdiff_t i0, std::ptrdiff_t i1, W* part) {
+                           W s0 = part[0], s1 = part[1], s2 = part[2], s3 = part[3];
+                           for (std::ptrdiff_t i = i0; i < i1; i += 4) {
+                             s0 += static_cast<W>(x[i]) * static_cast<W>(y[i]);
+                             s1 += static_cast<W>(x[i + 1]) * static_cast<W>(y[i + 1]);
+                             s2 += static_cast<W>(x[i + 2]) * static_cast<W>(y[i + 2]);
+                             s3 += static_cast<W>(x[i + 3]) * static_cast<W>(y[i + 3]);
+                           }
+                           part[0] = s0, part[1] = s1, part[2] = s2, part[3] = s3;
+                         });
+    W s0 = acc[0];
+    for (std::ptrdiff_t i = n4; i < n; ++i) s0 += static_cast<W>(x[i]) * static_cast<W>(y[i]);
+    return (s0 + acc[1]) + (acc[2] + acc[3]);
   } else {
-    W s{0};
-#pragma omp parallel for schedule(static) reduction(+ : s) if (n > parallel_threshold())
-    for (std::ptrdiff_t i = 0; i < n; ++i)
-      s += static_cast<W>(x[i]) * static_cast<W>(y[i]);
-    return s;
+    W acc[1] = {};
+    detail::partial_sums(n, 1, n > parallel_threshold(), acc,
+                         [&](std::ptrdiff_t i0, std::ptrdiff_t i1, W* part) {
+                           W s = part[0];
+                           for (std::ptrdiff_t i = i0; i < i1; ++i)
+                             s += static_cast<W>(x[i]) * static_cast<W>(y[i]);
+                           part[0] = s;
+                         });
+    return acc[0];
   }
 }
 
-/// Euclidean norm; accumulates in acc_t<T> (half → float; same unrolling
-/// rationale as dot()).
+/// Euclidean norm; accumulates in acc_t<T> (half → float) as dot(x, x)
+/// does, term for term.
 template <class T>
 auto nrm2(std::span<const T> x) {
   using W = acc_t<T>;
-  const std::ptrdiff_t n = static_cast<std::ptrdiff_t>(x.size());
-  if constexpr (sizeof(T) == 2) {
-    if (simd_fp16::enabled()) {
-      // Sum of squares through the native-width dot (same tier as dot()).
-      W s{0};
-#pragma omp parallel for schedule(static) reduction(+ : s) if (n > parallel_threshold())
-      for (std::ptrdiff_t t0 = 0; t0 < n; t0 += kHalfChunk)
-        s += simd_fp16::dot_n(x.data() + t0, x.data() + t0,
-                              std::min(kHalfChunk, n - t0));
-      return static_cast<W>(std::sqrt(static_cast<double>(s)));
-    }
-    W s0{0}, s1{0}, s2{0}, s3{0};
-#pragma omp parallel for schedule(static) reduction(+ : s0, s1, s2, s3) if (n > parallel_threshold())
-    for (std::ptrdiff_t i = 0; i < n - 3; i += 4) {
-      const W v0 = static_cast<W>(x[i]), v1 = static_cast<W>(x[i + 1]);
-      const W v2 = static_cast<W>(x[i + 2]), v3 = static_cast<W>(x[i + 3]);
-      s0 += v0 * v0;
-      s1 += v1 * v1;
-      s2 += v2 * v2;
-      s3 += v3 * v3;
-    }
-    for (std::ptrdiff_t i = n - (n % 4); i < n; ++i) {
-      const W v = static_cast<W>(x[i]);
-      s0 += v * v;
-    }
-    return static_cast<W>(std::sqrt(static_cast<double>((s0 + s1) + (s2 + s3))));
-  } else {
-    W s{0};
-#pragma omp parallel for schedule(static) reduction(+ : s) if (n > parallel_threshold())
-    for (std::ptrdiff_t i = 0; i < n; ++i) {
-      const W v = static_cast<W>(x[i]);
-      s += v * v;
-    }
-    return static_cast<W>(std::sqrt(static_cast<double>(s)));
-  }
+  return static_cast<W>(std::sqrt(static_cast<double>(dot(x, x))));
 }
 
 /// Infinity norm (always returned as double; used for diagnostics).

@@ -14,11 +14,13 @@
 // is how FgmresSolver now stores its Arnoldi and preconditioned bases.
 //
 // Numerical contract: per output element these kernels perform bit-for-bit
-// the same operation sequence as the blas1 loops they replace (at one
-// thread for dot_many; at any thread count for axpy_many/scal_copy, whose
-// chains are element-local).  In particular axpy_many rounds the running
-// value to the vector precision after every term — exactly what k chained
-// axpy() stores do — so fusing changes the schedule, never the math.
+// the same operation sequence as the blas1 loops they replace (for
+// dot_many: blas1's detail::partial_sums order, so at one thread and at
+// any thread count where both run parallel; for axpy_many/scal_copy at
+// any thread count, their chains being element-local).  In particular
+// axpy_many rounds the running value to the vector precision after every
+// term — exactly what k chained axpy() stores do — so fusing changes the
+// schedule, never the math.
 // Reductions over fp16 inputs accumulate in fp32 with the same four-way
 // unrolling as blas::dot (see the false-dependency note there).
 #pragma once
@@ -30,10 +32,6 @@
 
 #include "base/blas1.hpp"
 #include "base/half.hpp"
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
 
 namespace nk::blas {
 
@@ -154,46 +152,14 @@ void dot_many(const TV* v, std::ptrdiff_t ld, int k, std::span<const TW> w,
     acc = acc_heap.data();
   }
   for (std::ptrdiff_t j = 0; j < static_cast<std::ptrdiff_t>(k) * lanes; ++j) acc[j] = W{0};
-#ifdef _OPENMP
-  if (static_cast<std::ptrdiff_t>(k) * n > parallel_threshold() && n4 >= 4) {
-    // Per-thread partials over 4-aligned chunks, combined in thread order:
-    // deterministic for a fixed thread count, and identical to the serial
-    // (= blas::dot single-thread) order when one thread runs.
-    const int max_t = omp_get_max_threads();
-    // Reusable team-wide scratch owned by the CALLING thread (grows, never
-    // shrinks: no malloc per Arnoldi step).  The pointer must be hoisted
-    // before the parallel region — naming `partial` inside it would resolve
-    // to each worker's own (empty) thread_local instance; all workers have
-    // to write through this one buffer, tid-offset, for the merge below.
-    static thread_local std::vector<W> partial;
-    partial.assign(static_cast<std::size_t>(max_t) * k * lanes, W{0});
-    W* const part = partial.data();
-    int used = 1;
-#pragma omp parallel
-    {
-      const int nt = omp_get_num_threads();
-      const int tid = omp_get_thread_num();
-#pragma omp single
-      used = nt;
-      // ceil(n4/nt) rounded UP to a multiple of 4: chunks stay 4-aligned
-      // for the fp16 unroll while the last chunk still reaches n4.
-      const std::ptrdiff_t per = (((n4 + nt - 1) / nt) + 3) / 4 * 4;
-      const std::ptrdiff_t i0 = std::min<std::ptrdiff_t>(per * tid, n4);
-      const std::ptrdiff_t i1 = std::min<std::ptrdiff_t>(i0 + per, n4);
-      if (i0 < i1)
-        block_detail::dot_many_range<TV, TW, W>(
-            v, ld, k, w.data(), i0, i1,
-            part + static_cast<std::size_t>(tid) * k * lanes);
-    }
-    for (int t = 0; t < used; ++t)
-      for (std::size_t j = 0; j < static_cast<std::size_t>(k) * lanes; ++j)
-        acc[j] += part[static_cast<std::size_t>(t) * k * lanes + j];
-  } else {
-    block_detail::dot_many_range<TV, TW, W>(v, ld, k, w.data(), 0, n4, acc);
-  }
-#else
-  block_detail::dot_many_range<TV, TW, W>(v, ld, k, w.data(), 0, n4, acc);
-#endif
+  // detail::partial_sums's order: a dot_many column equals blas::dot at
+  // one thread, and at every thread count when both run parallel.
+  detail::partial_sums(n4, k * lanes,
+                       static_cast<std::ptrdiff_t>(k) * n > parallel_threshold() && n4 >= 4,
+                       acc, [&](std::ptrdiff_t i0, std::ptrdiff_t i1, W* part) {
+                         block_detail::dot_many_range<TV, TW, W>(v, ld, k, w.data(), i0, i1,
+                                                                 part);
+                       });
 
   if constexpr (half_path) {
     for (int j = 0; j < k; ++j) {

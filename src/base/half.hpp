@@ -122,7 +122,25 @@ double unit_roundoff(Prec p) noexcept;
 // either they degrade to the scalar loop.  Round-to-nearest-even on both
 // directions at every width — identical results to the scalar casts, so
 // width selection is purely a speed choice and needs no dispatch gate.
+// The 16-wide forms are the all-ones-mask `maskz` intrinsics: the unmasked
+// ones pass an `undefined` source that GCC 12 reports under
+// -Wmaybe-uninitialized.
 // ---------------------------------------------------------------------------
+
+#if defined(__AVX512F__)
+/// Sum of v's 16 lanes in _mm512_reduce_add_ps's order (256-bit halves,
+/// then 128-bit quarters, then pairs), through forms that GCC 12 does not
+/// flag: its _mm512_reduce_add_ps extracts with an `undefined` source.
+inline float reduce_add_16(__m512 v) {
+  const __m512d vd = _mm512_castps_pd(v);
+  const __m256 h = _mm256_add_ps(_mm256_castpd_ps(_mm512_maskz_extractf64x4_pd(0xFF, vd, 1)),
+                                 _mm256_castpd_ps(_mm512_maskz_extractf64x4_pd(0xFF, vd, 0)));
+  __m128 q = _mm_add_ps(_mm256_extractf128_ps(h, 1), _mm256_castps256_ps128(h));
+  q = _mm_add_ps(q, _mm_movehl_ps(q, q));
+  q = _mm_add_ss(q, _mm_movehdup_ps(q));
+  return _mm_cvtss_f32(q);
+}
+#endif
 
 /// dst[i] = float(src[i]) for i < n.
 inline void half_to_float_n(const half* src, float* dst, std::ptrdiff_t n) {
@@ -130,7 +148,7 @@ inline void half_to_float_n(const half* src, float* dst, std::ptrdiff_t n) {
 #if defined(__AVX512F__)
   for (; i + 16 <= n; i += 16) {
     const __m256i h = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
-    _mm512_storeu_ps(dst + i, _mm512_cvtph_ps(h));
+    _mm512_storeu_ps(dst + i, _mm512_maskz_cvtph_ps(0xFFFF, h));
   }
 #endif
 #if defined(__F16C__)
@@ -147,7 +165,8 @@ inline void float_to_half_n(const float* src, half* dst, std::ptrdiff_t n) {
   std::ptrdiff_t i = 0;
 #if defined(__AVX512F__)
   for (; i + 16 <= n; i += 16) {
-    const __m256i h = _mm512_cvtps_ph(_mm512_loadu_ps(src + i), _MM_FROUND_TO_NEAREST_INT);
+    const __m256i h =
+        _mm512_maskz_cvtps_ph(0xFFFF, _mm512_loadu_ps(src + i), _MM_FROUND_TO_NEAREST_INT);
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), h);
   }
 #endif
@@ -166,8 +185,9 @@ inline void round_half_n(float* x, std::ptrdiff_t n) {
   std::ptrdiff_t i = 0;
 #if defined(__AVX512F__)
   for (; i + 16 <= n; i += 16) {
-    const __m256i h = _mm512_cvtps_ph(_mm512_loadu_ps(x + i), _MM_FROUND_TO_NEAREST_INT);
-    _mm512_storeu_ps(x + i, _mm512_cvtph_ps(h));
+    const __m256i h =
+        _mm512_maskz_cvtps_ph(0xFFFF, _mm512_loadu_ps(x + i), _MM_FROUND_TO_NEAREST_INT);
+    _mm512_storeu_ps(x + i, _mm512_maskz_cvtph_ps(0xFFFF, h));
   }
 #endif
 #if defined(__F16C__)

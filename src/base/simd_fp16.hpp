@@ -105,14 +105,16 @@ inline void axpy_n(half a, const half* x, half* y, std::ptrdiff_t n) {
   for (; i + 32 <= n; i += 32) {
     const __m512i vx = _mm512_loadu_si512(x + i);
     const __m512i vy = _mm512_loadu_si512(y + i);
-    const __m512 x0 = _mm512_cvtph_ps(_mm512_castsi512_si256(vx));
-    const __m512 x1 = _mm512_cvtph_ps(_mm512_extracti64x4_epi64(vx, 1));
-    const __m512 y0 = _mm512_cvtph_ps(_mm512_castsi512_si256(vy));
-    const __m512 y1 = _mm512_cvtph_ps(_mm512_extracti64x4_epi64(vy, 1));
+    // maskz forms throughout: the unmasked ones pass an `undefined`
+    // source that GCC 12 flags under -Wmaybe-uninitialized.
+    const __m512 x0 = _mm512_maskz_cvtph_ps(0xFFFF, _mm512_maskz_extracti64x4_epi64(0xFF, vx, 0));
+    const __m512 x1 = _mm512_maskz_cvtph_ps(0xFFFF, _mm512_maskz_extracti64x4_epi64(0xFF, vx, 1));
+    const __m512 y0 = _mm512_maskz_cvtph_ps(0xFFFF, _mm512_maskz_extracti64x4_epi64(0xFF, vy, 0));
+    const __m512 y1 = _mm512_maskz_cvtph_ps(0xFFFF, _mm512_maskz_extracti64x4_epi64(0xFF, vy, 1));
     acc0 = _mm512_fmadd_ps(x0, y0, acc0);
     acc1 = _mm512_fmadd_ps(x1, y1, acc1);
   }
-  float s = _mm512_reduce_add_ps(_mm512_add_ps(acc0, acc1));
+  float s = reduce_add_16(_mm512_add_ps(acc0, acc1));
   for (; i < n; ++i) s += static_cast<float>(x[i]) * static_cast<float>(y[i]);
   return s;
 }

@@ -36,17 +36,16 @@
 // matrix is exactly the intended pattern.  The workspace is not
 // thread-safe; share one per solver pipeline, not across
 // concurrently-solving pipelines.
-// NUMA: freshly grown slab bytes are first-touch initialized by a static
-// OpenMP sweep whose contiguous per-thread slices match the static
-// scheduling of every kernel that later reads the buffer, so on a
-// first-touch NUMA system each page lands on the node of the thread that
-// will stream it.  (Serial memset placed every page on the calling
-// thread's node — the classic remote-traffic trap for the batched panels.)
-// Zero-filling is observationally identical either way, so this is purely
-// a placement change; NKRYLOV_FIRST_TOUCH=0 restores the serial memset.
+// Memory: a slab grows from zero-on-demand pages (an over-allocated
+// std::calloc aligned by hand; glibc serves large blocks from fresh mmap
+// pages without a memset), so growing a slab costs no pass over its bytes
+// and a page is committed only when a kernel first writes it.  A solve
+// that touches five columns of a 201-column FGMRES(100) basis commits five
+// columns.  On a first-touch NUMA system the static-scheduled kernel that
+// first writes a page also places it on the node of the thread that
+// streams it.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
@@ -59,39 +58,8 @@
 #include <string_view>
 
 #include "base/backend.hpp"
-#include "base/env.hpp"
 
 namespace nk {
-
-namespace workspace_detail {
-
-/// Parallel first-touch zero of [p, p+bytes): contiguous per-thread slices
-/// under schedule(static), exactly the slice shape the BLAS/SpMM kernels'
-/// `parallel for schedule(static)` sweeps assign.  Tiny or env-disabled
-/// fills fall back to one memset.
-inline void first_touch_zero(std::byte* p, std::size_t bytes, Backend be) {
-  // Checked flag parse: a malformed NKRYLOV_FIRST_TOUCH warns once naming
-  // the variable and value, then keeps the default (on) — it no longer
-  // silently counts as truthy.
-  static const bool enabled = env_flag("NKRYLOV_FIRST_TOUCH", true);
-  constexpr std::size_t kChunk = 1 << 16;  // per-slice granule: page-multiple
-  // First-touch placement is a HOST-backend property: its per-thread slices
-  // mirror the OpenMP static schedule of the host kernels.  The serial
-  // backend streams every buffer from one thread, so its slabs take the
-  // plain memset (placement only — the zero fill is identical).
-  if (be != Backend::kHost || !enabled || bytes < 2 * kChunk) {
-    std::memset(p, 0, bytes);
-    return;
-  }
-  const std::ptrdiff_t nchunks = static_cast<std::ptrdiff_t>((bytes + kChunk - 1) / kChunk);
-#pragma omp parallel for schedule(static)
-  for (std::ptrdiff_t c = 0; c < nchunks; ++c) {
-    const std::size_t off = static_cast<std::size_t>(c) * kChunk;
-    std::memset(p + off, 0, std::min(kChunk, bytes - off));
-  }
-}
-
-}  // namespace workspace_detail
 
 class SolverWorkspace {
  public:
@@ -103,8 +71,9 @@ class SolverWorkspace {
   static constexpr std::size_t kSlabAlign = 64;
 
   /// Typed view of the slab registered under `key`, grown to hold at least
-  /// `n` elements.  Newly grown bytes are zero; reused bytes keep whatever
-  /// the previous user left (solvers initialize their buffers in setup()).
+  /// `n` elements.  Newly grown bytes are zero (and uncommitted until first
+  /// written); reused bytes keep whatever the previous user left, so a
+  /// consumer writes every element before it reads it.
   template <class T>
   std::span<T> get(std::string_view key, std::size_t n) {
     static_assert(alignof(T) <= kSlabAlign, "slab alignment covers cache-line-aligned types");
@@ -112,16 +81,12 @@ class SolverWorkspace {
     Slab& slab = it->second;
     const std::size_t need = n * sizeof(T);
     if (slab.size < need) {
-      SlabPtr grown(static_cast<std::byte*>(
-          ::operator new(need, std::align_val_t{kSlabAlign})));
-      if (slab.size > 0) std::memcpy(grown.get(), slab.mem.get(), slab.size);
-      workspace_detail::first_touch_zero(grown.get() + slab.size, need - slab.size,
-                                         backend_);
-      slab.mem = std::move(grown);
-      slab.size = need;
+      Slab grown(need);
+      if (slab.size > 0) std::memcpy(grown.data, slab.data, slab.size);
+      slab = std::move(grown);
       ++allocations_;
     }
-    return {reinterpret_cast<T*>(slab.mem.get()), n};
+    return {reinterpret_cast<T*>(slab.data), n};
   }
 
   /// Number of slab growths since construction/release; flat across two
@@ -131,7 +96,8 @@ class SolverWorkspace {
   /// Distinct keys currently held.
   [[nodiscard]] std::size_t buffers() const { return slabs_.size(); }
 
-  /// Total bytes of slab capacity (the memory the setup phase committed).
+  /// Total bytes of slab capacity (reserved; a page is committed when it is
+  /// first written).
   [[nodiscard]] std::size_t bytes() const {
     std::size_t b = 0;
     for (const auto& [k, slab] : slabs_) b += slab.size;
@@ -147,21 +113,27 @@ class SolverWorkspace {
   /// Execution-space backend the owning pipeline was built for.  Solvers
   /// and operators built over this workspace read it in setup(); Session
   /// resolves it (spec > NKRYLOV_BACKEND > host) before minting the engine.
-  /// Also a slab property: first-touch NUMA placement applies to host
-  /// slabs only (serial slabs take a plain memset).  Defaults to host so
-  /// legacy/direct construction paths stay byte-identical.
+  /// Defaults to host so legacy/direct construction paths stay
+  /// byte-identical.
   [[nodiscard]] Backend backend() const { return backend_; }
   void set_backend(Backend be) { backend_ = be; }
 
  private:
-  struct AlignedDelete {
-    void operator()(std::byte* p) const noexcept {
-      ::operator delete(p, std::align_val_t{kSlabAlign});
-    }
-  };
-  using SlabPtr = std::unique_ptr<std::byte, AlignedDelete>;
+  /// One zero-on-demand block: `raw` is the calloc'd allocation, `data`
+  /// its first kSlabAlign-aligned byte, `size` the usable bytes from there.
   struct Slab {
-    SlabPtr mem;
+    Slab() = default;
+    explicit Slab(std::size_t bytes)
+        : raw(std::calloc(bytes + kSlabAlign - 1, 1)), size(bytes) {
+      if (raw == nullptr) throw std::bad_alloc();
+      const auto addr = reinterpret_cast<std::uintptr_t>(raw.get());
+      data = static_cast<std::byte*>(raw.get()) + (-addr & (kSlabAlign - 1));
+    }
+    struct Free {
+      void operator()(void* p) const noexcept { std::free(p); }
+    };
+    std::unique_ptr<void, Free> raw;
+    std::byte* data = nullptr;
     std::size_t size = 0;
   };
 

@@ -244,6 +244,15 @@ class IrGmresEngine final : public SolverEngine {
 /// Any nested tuple (F3R, the Table 4 variants, custom configurations) and
 /// the flat FGMRES(m) baseline, which is the one-level tuple (F^m, M).
 /// NestedSolver::solve fills every per-column counter itself.
+///
+/// Each solve()/solve_many() builds a fresh NestedSolver, so Algorithm 1's
+/// adaptive Richardson weights restart at 1 for every solve() right-hand
+/// side and every solve_many() batch (inside a batch they carry from
+/// column to column, see NestedSolver::solve_many) instead of carrying
+/// over from the previous call.  The
+/// rebuild is cheap: the tuple's buffers come from the Session's workspace
+/// (same keys, no regrowth), and a fresh workspace's slabs commit only the
+/// pages a solve writes.
 class NestedEngine final : public SolverEngine {
  public:
   NestedEngine(const PreparedProblem& p, std::shared_ptr<PrimaryPrecond> m,

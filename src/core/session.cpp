@@ -28,8 +28,7 @@ Backend resolve_session_backend(const std::optional<Backend>& from_spec,
 }
 
 /// The resolved backend is a workspace property: every engine, handle,
-/// and operator minted for this Session reads it from here (first-touch
-/// policy included).
+/// and operator minted for this Session reads it from here.
 std::unique_ptr<SolverWorkspace> make_session_workspace(const SolverSpec& spec,
                                                         std::string* backend_err) {
   auto ws = std::make_unique<SolverWorkspace>();

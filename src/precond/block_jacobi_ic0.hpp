@@ -71,10 +71,13 @@ void ic_solve(const IcFactors<P>& f, std::span<const VT> r, std::span<VT> z,
       z[i] = static_cast<VT>(s / static_cast<W>(f.l_val[end]));
     }
     // Backward: L^T z = y (diagonal is the first entry of each L^T row).
+    // Entries in descending column order: z[i+1], which the previous row
+    // has just produced, enters the chain last, so the other products do
+    // not wait for it.
     for (index_t i = b1; i-- > b0;) {
       W s = static_cast<W>(z[i]);
       const index_t begin = f.lt_row_ptr[i];  // diag position
-      for (index_t p = begin + 1; p < f.lt_row_ptr[i + 1]; ++p)
+      for (index_t p = f.lt_row_ptr[i + 1]; p-- > begin + 1;)
         s -= static_cast<W>(f.lt_val[p]) * static_cast<W>(z[f.lt_col[p]]);
       z[i] = static_cast<VT>(s / static_cast<W>(f.lt_val[begin]));
     }

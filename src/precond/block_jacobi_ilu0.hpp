@@ -82,10 +82,12 @@ void ilu_solve(const IluFactors<P>& f, std::span<const VT> r, std::span<VT> z,
         s -= static_cast<W>(f.vals[p]) * static_cast<W>(z[f.col_idx[p]]);
       z[i] = static_cast<VT>(s);
     }
-    // Backward: U z = y.
+    // Backward: U z = y, each row's entries in descending column order so
+    // z[i+1] — the value the previous row has just produced — enters the
+    // chain last and the other products do not wait for it.
     for (index_t i = b1; i-- > b0;) {
       W s = static_cast<W>(z[i]);
-      for (index_t p = f.diag_pos[i] + 1; p < f.row_ptr[i + 1]; ++p)
+      for (index_t p = f.row_ptr[i + 1]; p-- > f.diag_pos[i] + 1;)
         s -= static_cast<W>(f.vals[p]) * static_cast<W>(z[f.col_idx[p]]);
       z[i] = static_cast<VT>(s / static_cast<W>(f.vals[f.diag_pos[i]]));
     }
@@ -119,10 +121,10 @@ void solve_group(const IluFactors<P>& f, const VT* rg, std::ptrdiff_t ldr, VT* z
       }
       for (int c = 0; c < kc; ++c) zg[c * ldz + i] = static_cast<VT>(s[c]);
     }
-    // Backward: U z = y.
+    // Backward: U z = y, entries in ilu_solve's descending column order.
     for (index_t i = b1; i-- > b0;) {
       for (int c = 0; c < kc; ++c) s[c] = static_cast<W>(zg[c * ldz + i]);
-      for (index_t p = f.diag_pos[i] + 1; p < f.row_ptr[i + 1]; ++p) {
+      for (index_t p = f.row_ptr[i + 1]; p-- > f.diag_pos[i] + 1;) {
         const W vp = static_cast<W>(f.vals[p]);
         const VT* __restrict zc = zg + f.col_idx[p];
         for (int c = 0; c < kc; ++c)
@@ -142,9 +144,9 @@ void solve_group(const IluFactors<P>& f, const VT* rg, std::ptrdiff_t ldr, VT* z
 /// chains advance in lockstep — each factor entry is loaded once and
 /// applied to every column — which turns the substitution throughput-bound
 /// in exactly the way the batched SpMM does.  Per column the operation
-/// sequence (subtractions in position order, then the divide) is
-/// ilu_solve()'s, so batched and sequential applications agree
-/// bit-for-bit.
+/// sequence (forward subtractions in ascending, backward ones in
+/// descending column order, then the divide) is ilu_solve()'s, so batched
+/// and sequential applications agree bit-for-bit.
 template <class P, class VT, class W = promote_t<P, VT>>
 void ilu_solve_many(const IluFactors<P>& f, const VT* r, std::ptrdiff_t ldr, VT* z,
                     std::ptrdiff_t ldz, int k, Backend be = Backend::kHost) {

@@ -14,15 +14,17 @@
 // (detail::row_dot's per-row order for CSR — including its four-way fp16
 // partial-sum grouping — and the SIMD slice sweep for SELL), so batched
 // and sequential solves produce bit-identical iterates per right-hand
-// side on the fp64/fp32 CSR paths and on every SELL path.  The one
-// exception is fp16 STORAGE over CSR: both sides compute the same fp32
-// operation sequence, but the compiler's FMA-contraction freedom
-// (-ffp-contract) may fuse it differently in the two loop structures, so
-// agreement there is at fp32 rounding level, not bitwise — which is why
-// the fp16 inner levels are tolerance-checked rather than exact in the
-// batched-solve tests.  What changes is the SCHEDULE: the CSR kernel
-// walks the row's nonzeros once and updates all k per-column accumulators
-// per nonzero.
+// side on the fp64/fp32 CSR paths, on fp16 × fp16, and on every SELL
+// path.  The one exception is fp16 values with wider vectors over CSR:
+// on an AVX-512 build spmv's fp16 × fp32 rows run 16 gather lanes
+// (row_dot_f16_f32_x16) while spmm keeps the four-way grouping, and
+// elsewhere the compiler's FMA-contraction freedom (-ffp-contract) may
+// fuse the same four-way sequence differently in the two loop
+// structures.  Agreement there is at fp32 rounding level (the tests'
+// 1e-5 tier), not bitwise — which is why the fp16 inner levels are
+// tolerance-checked rather than exact in the batched-solve tests.  What
+// changes is the SCHEDULE: the CSR kernel walks the row's nonzeros once
+// and updates all k per-column accumulators per nonzero.
 // That reads A once per batch instead of k times AND — the bigger effect
 // on a single core — replaces k serial FMA dependency chains with k
 // independent accumulators advancing in lockstep, so the row dot becomes
@@ -48,9 +50,9 @@ inline constexpr int kSpmmMaxCols = 16;
 namespace spmm_detail {
 
 /// One CSR row × up to kSpmmMaxCols columns: per column the accumulation
-/// sequence of row_dot on that column (plain `s += v·x` on the general
-/// path, the four-way partial-sum grouping on the fp16-storage path),
-/// interleaved across columns for ILP.  KC > 0 pins the column count at
+/// sequence of row_dot's portable paths on that column (plain `s += v·x`
+/// on the general path, the four-way partial-sum grouping on the
+/// fp16-storage path), interleaved across columns for ILP.  KC > 0 pins the column count at
 /// compile time (k == KC) so the per-nonzero column loops fully unroll —
 /// the difference between a modest and a large win on short stencil rows.
 /// `out(c, s)` stores column c's row value.
@@ -59,10 +61,10 @@ inline void row_dots(const MT* __restrict v, const index_t* __restrict ci,
                      const XT* __restrict x, std::ptrdiff_t ldx, int k_dyn, index_t b,
                      index_t e, Out&& out) {
   const int k = KC > 0 ? KC : k_dyn;
-  if constexpr (sizeof(MT) == 2 && !std::is_same_v<Acc, MT>) {
-    // fp16 matrix path: reproduce row_dot's four-way partial sums — lane
-    // (t − b) mod 4 over the 4-aligned prefix, remainder into lane 0 —
-    // with the converted value shared across all k columns.
+  if constexpr (sizeof(MT) == 2) {
+    // fp16 matrix path: row_dot's four-way partial sums — lane (t − b)
+    // mod 4 over the 4-aligned prefix, remainder into lane 0 — with the
+    // converted value shared across all k columns.
     Acc acc[4][kSpmmMaxCols] = {};
     Acc vf[16];
     index_t t = b;

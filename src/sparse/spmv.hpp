@@ -14,6 +14,7 @@
 #pragma once
 
 #include <span>
+#include <type_traits>
 
 #include "base/blas1.hpp"
 #include "sparse/csr.hpp"
@@ -22,30 +23,73 @@ namespace nk {
 
 namespace detail {
 
+#if defined(__AVX512F__) && defined(__AVX512BW__) && defined(__AVX512VL__)
+/// fp16 values × fp32 gathered vector, 16 lanes at a time: convert the
+/// values (vcvtph2ps), gather x (vgatherdps), one FMA chain per lane, the
+/// row tail under a mask, then one horizontal reduce.  The mask and zero
+/// operands are explicit throughout: the unmasked intrinsics pass an
+/// `undefined` source that GCC 12 flags under -Wmaybe-uninitialized.
+inline float row_dot_f16_f32_x16(const half* __restrict v, const index_t* __restrict ci,
+                                 const float* __restrict x, index_t begin, index_t end) {
+  const __m512 zero = _mm512_setzero_ps();
+  __m512 acc = zero;
+  index_t k = begin;
+  for (; k + 16 <= end; k += 16) {
+    const __m512 vv = _mm512_maskz_cvtph_ps(
+        0xFFFF, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v + k)));
+    const __m512i idx = _mm512_loadu_si512(ci + k);
+    acc = _mm512_fmadd_ps(vv, _mm512_mask_i32gather_ps(zero, 0xFFFF, idx, x, 4), acc);
+  }
+  if (k < end) {
+    const auto m = static_cast<__mmask16>((1u << (end - k)) - 1u);
+    const __m512 vv = _mm512_maskz_cvtph_ps(0xFFFF, _mm256_maskz_loadu_epi16(m, v + k));
+    const __m512i idx = _mm512_maskz_loadu_epi32(m, ci + k);
+    acc = _mm512_fmadd_ps(vv, _mm512_mask_i32gather_ps(zero, m, idx, x, 4), acc);
+  }
+  return reduce_add_16(acc);
+}
+#endif
+
 /// Dot of one CSR row with a gathered vector, accumulating in Acc.
 ///
-/// The half→float fast path matters: a naive `(float)v[k] * x[ci[k]]` loop
-/// emits scalar `vcvtsh2ss` whose destination-register merge creates a
-/// false serial dependency across iterations (~2x slower than fp64!).
-/// Converting a 16-value chunk first (vectorizable `vcvtph2ps`) and
-/// accumulating into four independent partial sums breaks the chain.
+/// One accumulation chain makes a row latency-bound rather than
+/// bandwidth-bound, so the fp16-storage paths, which stream the fewest
+/// bytes, split it:
+///   * fp16 × fp32 on an AVX-512 build: row_dot_f16_f32_x16's 16 lanes.
+///   * other fp16 storage: four independent partial sums — lane
+///     (k − begin) mod 4 over the 4-aligned prefix, the remainder into
+///     lane 0, combined as (s0+s1)+(s2+s3).  With a half accumulator
+///     (fp16 × fp16) this is four half chains; with a wider one the
+///     values are converted 16 at a time first: a naive
+///     `(float)v[k] * x[ci[k]]` loop emits scalar `vcvtsh2ss` whose
+///     destination-register merge adds a false serial dependency across
+///     iterations (~2x slower than fp64), a vectorizable `vcvtph2ps` of a
+///     16-value chunk does not.
+///   * fp32/fp64 storage: one plain `s += v·x` chain.
 template <class MT, class XT, class Acc>
 inline Acc row_dot(const MT* __restrict v, const index_t* __restrict ci,
                    const XT* __restrict x, index_t begin, index_t end) {
-  if constexpr (sizeof(MT) == 2 && !std::is_same_v<Acc, MT>) {
-    Acc vf[16];
+  if constexpr (sizeof(MT) == 2) {
+#if defined(__AVX512F__) && defined(__AVX512BW__) && defined(__AVX512VL__)
+    if constexpr (std::is_same_v<MT, half> && std::is_same_v<XT, float> &&
+                  std::is_same_v<Acc, float>)
+      return row_dot_f16_f32_x16(v, ci, x, begin, end);
+#endif
     Acc s0{0}, s1{0}, s2{0}, s3{0};
     index_t k = begin;
-    for (; k + 16 <= end; k += 16) {
-      if constexpr (std::is_same_v<Acc, float>)
-        half_to_float_n(v + k, vf, 16);  // GCC can't vectorize this loop itself
-      else
-        for (int j = 0; j < 16; ++j) vf[j] = static_cast<Acc>(v[k + j]);
-      for (int j = 0; j < 16; j += 4) {
-        s0 += vf[j] * static_cast<Acc>(x[ci[k + j]]);
-        s1 += vf[j + 1] * static_cast<Acc>(x[ci[k + j + 1]]);
-        s2 += vf[j + 2] * static_cast<Acc>(x[ci[k + j + 2]]);
-        s3 += vf[j + 3] * static_cast<Acc>(x[ci[k + j + 3]]);
+    if constexpr (!std::is_same_v<Acc, MT>) {
+      Acc vf[16];
+      for (; k + 16 <= end; k += 16) {
+        if constexpr (std::is_same_v<Acc, float>)
+          half_to_float_n(v + k, vf, 16);  // GCC can't vectorize this loop itself
+        else
+          for (int j = 0; j < 16; ++j) vf[j] = static_cast<Acc>(v[k + j]);
+        for (int j = 0; j < 16; j += 4) {
+          s0 += vf[j] * static_cast<Acc>(x[ci[k + j]]);
+          s1 += vf[j + 1] * static_cast<Acc>(x[ci[k + j + 1]]);
+          s2 += vf[j + 2] * static_cast<Acc>(x[ci[k + j + 2]]);
+          s3 += vf[j + 3] * static_cast<Acc>(x[ci[k + j + 3]]);
+        }
       }
     }
     for (; k + 4 <= end; k += 4) {

@@ -142,8 +142,8 @@ TEST(EnvChecked, FlagParsesTheDocumentedSpellings) {
 }
 
 TEST(EnvChecked, FlagFallsBackOnGarbage) {
-  // Garbage used to silently count as truthy at the NKRYLOV_FIRST_TOUCH and
-  // NKRYLOV_AVX512FP16 sites; now it keeps the site's default.
+  // Garbage used to silently count as truthy at the flag sites (e.g.
+  // NKRYLOV_AVX512FP16); now it keeps the site's default.
   EnvVarGuard g("NKRYLOV_TEST_FLAG");
   for (const char* v : {"2", "ON", "tru", "enabled", ""}) {
     g.set(v);

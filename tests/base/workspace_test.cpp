@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#if defined(__linux__)
+#include <unistd.h>
+
+#include <fstream>
+#endif
 
 #include "base/half.hpp"
 #include "base/workspace.hpp"
@@ -94,12 +99,12 @@ TEST(SolverWorkspace, SlabsAreCacheLineAligned) {
 }
 
 TEST(SolverWorkspace, LargeSlabsAreZeroedThroughFirstTouch) {
-  // Big enough to span many 64 KiB first-touch chunks and engage the
-  // parallel path on multi-thread runs; every byte must still be zero.
+  // Big enough to come from fresh zero-on-demand pages rather than a
+  // recycled heap block; every byte must still read as zero.
   SolverWorkspace ws;
   auto a = ws.get<double>("big", 1 << 18);
   for (std::size_t i = 0; i < a.size(); ++i) ASSERT_EQ(a[i], 0.0) << i;
-  // Growth first-touches only the new tail; content survives, tail is zero.
+  // Growth copies the old content; the new tail reads as zero.
   for (std::size_t i = 0; i < 64; ++i) a[i] = 1.0;
   auto b = ws.get<double>("big", 1 << 19);
   for (std::size_t i = 0; i < 64; ++i) ASSERT_EQ(b[i], 1.0) << i;
@@ -117,6 +122,36 @@ TEST(SolverWorkspace, GrowthPreservesContentAndZeroesTail) {
   for (std::size_t i = 8; i < 32; ++i) EXPECT_EQ(b[i], 0.0);
   EXPECT_EQ(ws.allocations(), 2u);
 }
+
+#if defined(__linux__)
+/// Resident set size in bytes, from /proc/self/statm.
+std::int64_t resident_bytes() {
+  std::ifstream statm("/proc/self/statm");
+  std::int64_t size_pages = 0, rss_pages = 0;
+  statm >> size_pages >> rss_pages;
+  return rss_pages * static_cast<std::int64_t>(sysconf(_SC_PAGESIZE));
+}
+
+TEST(SolverWorkspace, SlabsAreCommittedLazily) {
+  // A grown slab commits no memory until it is written: FGMRES(100)'s
+  // outer basis is reserved at 201 columns, and a solve that converges in
+  // two iterations must pay for the five columns it touches only.
+#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_MEMORY__)
+  GTEST_SKIP() << "the ThreadSanitizer/MemorySanitizer allocators clear calloc blocks eagerly";
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer) || __has_feature(memory_sanitizer)
+  GTEST_SKIP() << "the ThreadSanitizer/MemorySanitizer allocators clear calloc blocks eagerly";
+#endif
+#endif
+  SolverWorkspace ws;
+  const std::int64_t before = resident_bytes();
+  const auto big = ws.get<double>("big", std::size_t{1} << 26);  // 512 MiB
+  const std::int64_t after = resident_bytes();
+  ASSERT_EQ(big.size(), std::size_t{1} << 26);
+  EXPECT_LT(after - before, std::int64_t{32} << 20)
+      << "RSS grew by " << (after - before) / (1 << 20) << " MiB";
+}
+#endif
 
 }  // namespace
 }  // namespace nk

@@ -2,6 +2,16 @@
 // bridges, configuration validation, and end-to-end nested solves.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
 #include "base/rng.hpp"
 #include "core/f3r.hpp"
 #include "core/nested_builder.hpp"
@@ -249,6 +259,64 @@ TEST(NestedSolver, GpuSimSellConfiguration) {
   const auto res = Session(borrow_problem(p), f3r_config(Prec::FP16), f3r_termination(1e-8),
                            m).solve();
   EXPECT_TRUE(res.converged);
+}
+
+/// FGMRES never reads a basis column before writing it: a workspace whose
+/// V/Z slabs hold NaN (all-ones bytes are NaN at every precision) gives
+/// the same x, iteration count and relres, bit for bit, as a fresh one.
+/// One thread, so the two solves share one summation order.
+TEST(NestedSolver, FgmresBasesAreWrittenBeforeRead) {
+#ifdef _OPENMP
+  const int saved_threads = omp_get_max_threads();
+  omp_set_num_threads(1);
+#endif
+  const auto p = prepare_standin("hpcg_4_4_4", -4);
+  const auto m = registry().make_precond(parse_precond_spec("bj"), p);
+  const std::size_t n = p.b.size();
+
+  NestedConfig fgmres8;
+  fgmres8.name = "fgmres8";
+  LevelSpec outer;
+  outer.m = 8;
+  fgmres8.levels = {outer};
+  Termination fgmres8_term;
+  fgmres8_term.max_restarts = 1000;
+
+  const std::pair<NestedConfig, Termination> cases[] = {
+      {f3r_config(Prec::FP16), f3r_termination()}, {fgmres8, fgmres8_term}};
+  for (const auto& [cfg, term] : cases) {
+    SolverWorkspace fresh;
+    std::vector<double> x_fresh(n, 0.0);
+    const auto r_fresh = NestedSolver(p.a, m, cfg, &fresh).solve(p.b, x_fresh, term);
+
+    SolverWorkspace poisoned;
+    for (std::size_t d = 0; d < cfg.levels.size(); ++d) {
+      const LevelSpec& lv = cfg.levels[d];
+      if (lv.kind != SolverKind::FGMRES) continue;
+      const std::size_t col = n * prec_bytes(lv.vec);
+      const std::string key = "lvl" + std::to_string(d) + ".fgmres";
+      const auto m1 = static_cast<std::size_t>(lv.m);
+      for (auto [suffix, bytes] : {std::pair{".V", (m1 + 1) * col}, std::pair{".Z", m1 * col}}) {
+        auto slab = poisoned.get<unsigned char>(key + suffix, bytes);
+        std::fill(slab.begin(), slab.end(), static_cast<unsigned char>(0xFF));
+      }
+    }
+    std::vector<double> x_poisoned(n, 0.0);
+    const auto r_poisoned = NestedSolver(p.a, m, cfg, &poisoned).solve(p.b, x_poisoned, term);
+
+    EXPECT_TRUE(r_fresh.converged) << cfg.name;
+    // The poisoned slabs had exactly the solver's sizes: reused, not regrown.
+    EXPECT_EQ(poisoned.allocations(), fresh.allocations()) << cfg.name;
+    EXPECT_EQ(poisoned.bytes(), fresh.bytes()) << cfg.name;
+    EXPECT_EQ(r_poisoned.iterations, r_fresh.iterations) << cfg.name;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(r_poisoned.final_relres),
+              std::bit_cast<std::uint64_t>(r_fresh.final_relres))
+        << cfg.name;
+    EXPECT_EQ(x_poisoned, x_fresh) << cfg.name;
+  }
+#ifdef _OPENMP
+  omp_set_num_threads(saved_threads);
+#endif
 }
 
 }  // namespace

@@ -1,6 +1,11 @@
 // Tests for block-Jacobi IC(0).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <type_traits>
+#include <vector>
+
 #include "base/rng.hpp"
 #include "precond/block_jacobi_ic0.hpp"
 #include "sparse/gen/stencil.hpp"
@@ -137,6 +142,59 @@ TEST(Ic0, RejectsNonSquare) {
   CsrMatrix<double> a(2, 3);
   a.row_ptr = {0, 0, 0};
   EXPECT_THROW(BlockJacobiIc0(a, {}), std::invalid_argument);
+}
+
+/// ic_solve at storage P and vectors VT against the same substitution in
+/// long double over the same stored factors and rounded right-hand side,
+/// within the tier of the working precision W.
+template <class P, class VT>
+void check_ic_solve_against_long_double(const CsrMatrix<double>& a, int nblocks) {
+  BlockJacobiIc0 m(a, {.nblocks = nblocks, .alpha = 1.0});
+  const auto f = cast_factors<P>(m.factors_fp64());
+  const auto rd = random_vector<double>(a.nrows, 14, -1.0, 1.0);
+  std::vector<VT> r(rd.size()), z(rd.size());
+  for (std::size_t i = 0; i < rd.size(); ++i) r[i] = static_cast<VT>(rd[i]);
+  ic_solve(f, std::span<const VT>(r), std::span<VT>(z));
+
+  std::vector<long double> ref(rd.size());
+  for (index_t b = 0; b < f.nblocks(); ++b) {
+    const index_t b0 = f.block_start[b], b1 = f.block_start[b + 1];
+    for (index_t i = b0; i < b1; ++i) {
+      long double s = static_cast<long double>(r[i]);
+      const index_t end = f.l_row_ptr[i + 1] - 1;
+      for (index_t p = f.l_row_ptr[i]; p < end; ++p)
+        s -= static_cast<long double>(f.l_val[p]) * ref[f.l_col[p]];
+      ref[i] = s / static_cast<long double>(f.l_val[end]);
+    }
+    for (index_t i = b1; i-- > b0;) {
+      long double s = ref[i];
+      const index_t begin = f.lt_row_ptr[i];
+      for (index_t p = begin + 1; p < f.lt_row_ptr[i + 1]; ++p)
+        s -= static_cast<long double>(f.lt_val[p]) * ref[f.lt_col[p]];
+      ref[i] = s / static_cast<long double>(f.lt_val[begin]);
+    }
+  }
+  long double zmax = 0.0L;
+  for (const long double v : ref) zmax = std::max(zmax, std::abs(v));
+  using W = promote_t<P, VT>;
+  const double tier = std::is_same_v<W, double>  ? 1e-12
+                      : std::is_same_v<W, float> ? 2e-5
+                                                 : 3e-2;
+  for (index_t i = 0; i < a.nrows; ++i)
+    ASSERT_NEAR(static_cast<double>(z[i]), static_cast<double>(ref[i]),
+                tier * static_cast<double>(zmax))
+        << "i=" << i;
+}
+
+TEST(Ic0, SolveMatchesLongDoubleSubstitution) {
+  for (const auto& a : {test::scaled_hpcg(3), test::scaled_laplace2d(20, 20)}) {
+    check_ic_solve_against_long_double<double, double>(a, 3);
+    check_ic_solve_against_long_double<float, float>(a, 3);
+    check_ic_solve_against_long_double<float, double>(a, 3);
+    check_ic_solve_against_long_double<half, float>(a, 3);
+    check_ic_solve_against_long_double<half, half>(a, 3);  // F3R's innermost case
+    check_ic_solve_against_long_double<half, double>(a, 3);
+  }
 }
 
 }  // namespace

@@ -1,6 +1,12 @@
 // Tests for block-Jacobi ILU(0).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <type_traits>
+#include <vector>
+
 #include "base/rng.hpp"
 #include "precond/block_jacobi_ilu0.hpp"
 #include "sparse/gen/random_matrix.hpp"
@@ -184,6 +190,88 @@ TEST(Ilu0, Fp16VectorApplyStaysFinite) {
   std::vector<half> z(a.nrows);
   h->apply(std::span<const half>(r), std::span<half>(z));
   EXPECT_EQ(blas::count_nonfinite(std::span<const half>(z)), 0u);
+}
+
+/// ilu_solve at storage P and vectors VT against the same substitution in
+/// long double over the same stored factors and rounded right-hand side,
+/// within the tier of the working precision W.
+template <class P, class VT>
+void check_ilu_solve_against_long_double(const CsrMatrix<double>& a, int nblocks) {
+  BlockJacobiIlu0 m(a, {.nblocks = nblocks, .alpha = 1.0});
+  const auto f = cast_factors<P>(m.factors_fp64());
+  const auto rd = random_vector<double>(a.nrows, 12, -1.0, 1.0);
+  std::vector<VT> r(rd.size()), z(rd.size());
+  for (std::size_t i = 0; i < rd.size(); ++i) r[i] = static_cast<VT>(rd[i]);
+  ilu_solve(f, std::span<const VT>(r), std::span<VT>(z));
+
+  std::vector<long double> ref(rd.size());
+  for (index_t b = 0; b < f.nblocks(); ++b) {
+    const index_t b0 = f.block_start[b], b1 = f.block_start[b + 1];
+    for (index_t i = b0; i < b1; ++i) {
+      long double s = static_cast<long double>(r[i]);
+      for (index_t p = f.row_ptr[i]; p < f.diag_pos[i]; ++p)
+        s -= static_cast<long double>(f.vals[p]) * ref[f.col_idx[p]];
+      ref[i] = s;
+    }
+    for (index_t i = b1; i-- > b0;) {
+      long double s = ref[i];
+      for (index_t p = f.diag_pos[i] + 1; p < f.row_ptr[i + 1]; ++p)
+        s -= static_cast<long double>(f.vals[p]) * ref[f.col_idx[p]];
+      ref[i] = s / static_cast<long double>(f.vals[f.diag_pos[i]]);
+    }
+  }
+  long double zmax = 0.0L;
+  for (const long double v : ref) zmax = std::max(zmax, std::abs(v));
+  using W = promote_t<P, VT>;
+  const double tier = std::is_same_v<W, double>  ? 1e-12
+                      : std::is_same_v<W, float> ? 2e-5
+                                                 : 3e-2;
+  for (index_t i = 0; i < a.nrows; ++i)
+    ASSERT_NEAR(static_cast<double>(z[i]), static_cast<double>(ref[i]),
+                tier * static_cast<double>(zmax))
+        << "i=" << i;
+}
+
+TEST(Ilu0, SolveMatchesLongDoubleSubstitution) {
+  for (const auto& a : {test::scaled_hpcg(3), test::scaled_convdiff2d(20, 30.0)}) {
+    check_ilu_solve_against_long_double<double, double>(a, 3);
+    check_ilu_solve_against_long_double<float, float>(a, 3);
+    check_ilu_solve_against_long_double<float, double>(a, 3);
+    check_ilu_solve_against_long_double<half, float>(a, 3);
+    check_ilu_solve_against_long_double<half, half>(a, 3);
+    check_ilu_solve_against_long_double<half, double>(a, 3);
+  }
+}
+
+/// ilu_solve_many applies each column in ilu_solve's operation order, so
+/// batched and sequential applications agree bit for bit at every width.
+template <class P, class VT>
+void check_solve_many_bitwise(const CsrMatrix<double>& a) {
+  BlockJacobiIlu0 m(a, {.nblocks = 3, .alpha = 1.0});
+  const auto f = cast_factors<P>(m.factors_fp64());
+  const auto n = static_cast<std::size_t>(a.nrows);
+  for (const int k : {1, 3, 8, 16}) {
+    const auto rd = random_vector<double>(n * static_cast<std::size_t>(k), 13, -1.0, 1.0);
+    std::vector<VT> r(rd.size()), z(rd.size()), zc(n);
+    for (std::size_t i = 0; i < rd.size(); ++i) r[i] = static_cast<VT>(rd[i]);
+    const auto ld = static_cast<std::ptrdiff_t>(n);
+    ilu_solve_many(f, r.data(), ld, z.data(), ld, k);
+    for (int c = 0; c < k; ++c) {
+      const std::size_t off = static_cast<std::size_t>(c) * n;
+      ilu_solve(f, std::span<const VT>(r.data() + off, n), std::span<VT>(zc));
+      for (std::size_t i = 0; i < n; ++i)
+        ASSERT_EQ(std::memcmp(&z[off + i], &zc[i], sizeof(VT)), 0)
+            << "k=" << k << " c=" << c << " i=" << i;
+    }
+  }
+}
+
+TEST(Ilu0, SolveManyMatchesSolveBitwise) {
+  const auto a = test::scaled_convdiff2d(20, 30.0);
+  check_solve_many_bitwise<double, double>(a);
+  check_solve_many_bitwise<float, float>(a);
+  check_solve_many_bitwise<half, float>(a);
+  check_solve_many_bitwise<half, half>(a);
 }
 
 }  // namespace

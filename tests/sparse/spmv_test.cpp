@@ -2,6 +2,7 @@
 // combinations F3R relies on (fp16 matrix × fp32 vectors, pure fp16).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <tuple>
 #include <vector>
 
@@ -143,6 +144,49 @@ TEST(Spmv, AccumulatorOverrideImprovesFp16Sum) {
   const double exact = m * static_cast<double>(round_to_half(0.3f));
   EXPECT_LT(std::abs(y32[0] - exact), std::abs(static_cast<double>(y16[0]) - exact) + 1e-3);
   EXPECT_NEAR(y32[0], exact, 0.5);
+}
+
+/// detail::row_dot on one path (MT values, XT vector, Acc accumulator)
+/// for every row length 0–40 — so every 16-lane and 4-lane tail (0, 1,
+/// 15, 16, 17, 31, 32, 33, ...) — against an fp64 reference over the same
+/// rounded inputs.  Each row starts at an odd offset and the last one ends
+/// at the end of its arrays.  Bound: the accumulator's recursive-summation
+/// tier, 2·(len+2)·u_Acc·Σ|v·x|.
+template <class MT, class XT, class Acc>
+void check_row_dot_path() {
+  constexpr index_t kMaxLen = 40, kOffset = 3, kNx = 97;
+  const double u = 0.5 * static_cast<double>(fp_limits<Acc>::eps);
+  const auto xd = random_vector<double>(kNx, 5, -1.0, 1.0);
+  std::vector<XT> x(kNx);
+  for (index_t j = 0; j < kNx; ++j) x[j] = static_cast<XT>(xd[j]);
+  for (index_t len = 0; len <= kMaxLen; ++len) {
+    const auto vd = random_vector<double>(kOffset + len, 100 + len, -1.0, 1.0);
+    const auto cd = random_vector<double>(kOffset + len, 200 + len, 0.0, kNx - 1e-9);
+    std::vector<MT> v(kOffset + len);
+    std::vector<index_t> ci(kOffset + len);
+    double ref = 0.0, mag = 0.0;
+    for (index_t k = 0; k < kOffset + len; ++k) {
+      v[k] = static_cast<MT>(vd[k]);
+      ci[k] = static_cast<index_t>(cd[k]);
+      if (k < kOffset) continue;
+      const double t = static_cast<double>(v[k]) * static_cast<double>(x[ci[k]]);
+      ref += t;
+      mag += std::abs(t);
+    }
+    const Acc got = detail::row_dot<MT, XT, Acc>(v.data(), ci.data(), x.data(), kOffset,
+                                                 kOffset + len);
+    EXPECT_NEAR(static_cast<double>(got), ref, 2.0 * (len + 2) * u * mag) << "len=" << len;
+  }
+}
+
+TEST(RowDot, EveryPathEveryTailWithinItsTier) {
+  check_row_dot_path<double, double, double>();
+  check_row_dot_path<float, float, float>();
+  check_row_dot_path<float, double, double>();
+  check_row_dot_path<half, float, float>();   // F3R level 3 (16-lane on AVX-512 builds)
+  check_row_dot_path<half, half, half>();     // innermost Richardson: four half chains
+  check_row_dot_path<half, half, float>();    // fp32-accumulator override
+  check_row_dot_path<half, double, double>();
 }
 
 }  // namespace
