@@ -76,11 +76,13 @@ void partial_sums(std::ptrdiff_t n4, int lanes, bool par, W* acc, Body&& body) {
     // parallel region — naming `partial` inside it would resolve to each
     // worker's own (empty) thread_local instance.
     // Each thread's slot is padded to whole cache lines, so the threads'
-    // final stores do not contend for one line.
+    // stores do not contend for one line, and each thread zeroes its own
+    // slot inside the region (no serial clear per call).
     constexpr int kLine = static_cast<int>(64 / sizeof(W));
     const int stride = (lanes + kLine - 1) / kLine * kLine;
     static thread_local std::vector<W> partial;
-    partial.assign(static_cast<std::size_t>(omp_get_max_threads()) * stride, W{0});
+    const std::size_t need = static_cast<std::size_t>(omp_get_max_threads()) * stride;
+    if (partial.size() < need) partial.resize(need);
     W* const part = partial.data();
     int used = 1;
 #pragma omp parallel
@@ -91,7 +93,9 @@ void partial_sums(std::ptrdiff_t n4, int lanes, bool par, W* acc, Body&& body) {
       const std::ptrdiff_t per = (((n4 + nt - 1) / nt) + 3) / 4 * 4;
       const std::ptrdiff_t i0 = std::min<std::ptrdiff_t>(per * tid, n4);
       const std::ptrdiff_t i1 = std::min<std::ptrdiff_t>(i0 + per, n4);
-      if (i0 < i1) body(i0, i1, part + static_cast<std::size_t>(tid) * stride);
+      W* const mine = part + static_cast<std::size_t>(tid) * stride;
+      std::fill_n(mine, lanes, W{0});
+      if (i0 < i1) body(i0, i1, mine);
     }
     for (int t = 0; t < used; ++t)
       for (int j = 0; j < lanes; ++j) acc[j] += part[static_cast<std::size_t>(t) * stride + j];

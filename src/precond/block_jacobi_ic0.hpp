@@ -19,67 +19,99 @@
 
 namespace nk {
 
-/// IC(0) factor data at storage precision P.  `l` holds rows of L with the
-/// diagonal last; `lt` holds rows of L^T (columns of L) with the diagonal
-/// first — the layout the backward substitution wants.
-template <class P>
-struct IcFactors {
+/// Sparsity of the IC(0) factor.  `l` holds rows of L with the diagonal
+/// last; `lt` holds rows of L^T (columns of L) with the diagonal first —
+/// the layout the backward substitution wants.  One pattern is shared by
+/// the factor copies of every storage precision.
+struct IcPattern {
   index_t n = 0;
   std::vector<index_t> block_start;
   std::vector<index_t> l_row_ptr, l_col, lt_row_ptr, lt_col;
-  std::vector<P> l_val, lt_val;
 
   [[nodiscard]] index_t nblocks() const {
     return static_cast<index_t>(block_start.size()) - 1;
   }
 };
 
+/// IC(0) factor values at storage precision P over a shared pattern, plus
+/// the reciprocal diagonal 1/l_ii (see ic_solve).
+template <class P>
+struct IcFactors {
+  std::shared_ptr<const IcPattern> pat;
+  std::vector<P> l_val, lt_val, inv_diag;
+
+  [[nodiscard]] index_t nblocks() const { return pat->nblocks(); }
+};
+
+/// Cast factor values to another storage precision; the pattern is shared,
+/// not copied.
 template <class Dst, class Src>
 IcFactors<Dst> cast_factors(const IcFactors<Src>& f) {
+  const auto cast = [](const std::vector<Src>& src, std::vector<Dst>& dst) {
+    dst.resize(src.size());
+    blas::convert<Src, Dst>(std::span<const Src>(src), std::span<Dst>(dst));
+  };
   IcFactors<Dst> out;
-  out.n = f.n;
-  out.block_start = f.block_start;
-  out.l_row_ptr = f.l_row_ptr;
-  out.l_col = f.l_col;
-  out.lt_row_ptr = f.lt_row_ptr;
-  out.lt_col = f.lt_col;
-  out.l_val.resize(f.l_val.size());
-  out.lt_val.resize(f.lt_val.size());
-  blas::convert<Src, Dst>(std::span<const Src>(f.l_val), std::span<Dst>(out.l_val));
-  blas::convert<Src, Dst>(std::span<const Src>(f.lt_val), std::span<Dst>(out.lt_val));
+  out.pat = f.pat;
+  cast(f.l_val, out.l_val);
+  cast(f.lt_val, out.lt_val);
+  cast(f.inv_diag, out.inv_diag);
   return out;
 }
 
 /// z = L^{-T} L^{-1} r, block-parallel, computed in W.  Per-block
 /// substitution is thread-invariant, so the serial backend is the same
 /// sweep with the OpenMP team suppressed — bit-identical by construction.
+///
+/// Each row's recurrence on the row before it is kept short: the entry
+/// coupling to the value just produced (z[i-1] forward, z[i+1] backward)
+/// is subtracted last, from a register copy of that value rather than a
+/// reload of z, and when the factors are stored in the working precision
+/// the diagonal is applied as a multiply by inv_diag.  A narrower storage
+/// (say fp16 factors on fp64 vectors) divides by the stored diagonal
+/// instead: its reciprocal, rounded to the storage precision, would be
+/// less accurate than the working precision.
 template <class P, class VT, class W = promote_t<P, VT>>
 void ic_solve(const IcFactors<P>& f, std::span<const VT> r, std::span<VT> z,
               Backend be = Backend::kHost) {
-  const index_t nb = f.nblocks();
+  const IcPattern& g = *f.pat;
+  const auto by_diag = [&f](W s, [[maybe_unused]] index_t i, [[maybe_unused]] P d) -> W {
+    if constexpr (std::is_same_v<P, W>) return s * f.inv_diag[i];
+    else return s / static_cast<W>(d);
+  };
+  const index_t nb = g.nblocks();
   const bool par = be == Backend::kHost;
   (void)par;  // referenced only from the pragma; unused without OpenMP
 #pragma omp parallel for schedule(static) if (par)
   for (std::ptrdiff_t b = 0; b < static_cast<std::ptrdiff_t>(nb); ++b) {
-    const index_t b0 = f.block_start[b], b1 = f.block_start[b + 1];
+    const index_t b0 = g.block_start[b], b1 = g.block_start[b + 1];
+    W prev{0};  // z of the row last produced, as W
     // Forward: L y = r (diagonal is the last entry of each L row).
     for (index_t i = b0; i < b1; ++i) {
       W s = static_cast<W>(r[i]);
-      const index_t end = f.l_row_ptr[i + 1] - 1;  // diag position
-      for (index_t p = f.l_row_ptr[i]; p < end; ++p)
-        s -= static_cast<W>(f.l_val[p]) * static_cast<W>(z[f.l_col[p]]);
-      z[i] = static_cast<VT>(s / static_cast<W>(f.l_val[end]));
+      const index_t begin = g.l_row_ptr[i], end = g.l_row_ptr[i + 1] - 1;  // diag position
+      const bool adj = end > begin && g.l_col[end - 1] == i - 1;
+      const index_t stop = adj ? end - 1 : end;
+      for (index_t p = begin; p < stop; ++p)
+        s -= static_cast<W>(f.l_val[p]) * static_cast<W>(z[g.l_col[p]]);
+      if (adj) s -= static_cast<W>(f.l_val[end - 1]) * prev;
+      const VT zi = static_cast<VT>(by_diag(s, i, f.l_val[end]));
+      z[i] = zi;
+      prev = static_cast<W>(zi);
     }
-    // Backward: L^T z = y (diagonal is the first entry of each L^T row).
-    // Entries in descending column order: z[i+1], which the previous row
-    // has just produced, enters the chain last, so the other products do
-    // not wait for it.
+    // Backward: L^T z = y (diagonal is the first entry of each L^T row),
+    // the other entries in descending column order.
     for (index_t i = b1; i-- > b0;) {
       W s = static_cast<W>(z[i]);
-      const index_t begin = f.lt_row_ptr[i];  // diag position
-      for (index_t p = f.lt_row_ptr[i + 1]; p-- > begin + 1;)
-        s -= static_cast<W>(f.lt_val[p]) * static_cast<W>(z[f.lt_col[p]]);
-      z[i] = static_cast<VT>(s / static_cast<W>(f.lt_val[begin]));
+      const index_t begin = g.lt_row_ptr[i], end = g.lt_row_ptr[i + 1];  // diag at begin
+      const bool adj = end > begin + 1 && g.lt_col[begin + 1] == i + 1;
+      const index_t stop = adj ? begin + 2 : begin + 1;
+      for (index_t p = end; p-- > stop;)
+        s -= static_cast<W>(f.lt_val[p]) * static_cast<W>(z[g.lt_col[p]]);
+      if (adj) s -= static_cast<W>(f.lt_val[begin + 1]) * prev;
+      const VT zi = static_cast<VT>(by_diag(s, i, f.lt_val[begin]));
+      z[i] = zi;
+      prev = static_cast<W>(zi);
     }
   }
 }
@@ -94,7 +126,7 @@ class BlockJacobiIc0 final : public PrimaryPrecond {
   BlockJacobiIc0(const CsrMatrix<double>& a, Config cfg);
 
   [[nodiscard]] std::string name() const override { return "bj-ic0"; }
-  [[nodiscard]] index_t size() const override { return f64_->n; }
+  [[nodiscard]] index_t size() const override { return f64_->pat->n; }
 
   std::unique_ptr<Preconditioner<double>> make_apply_fp64(Prec storage) override;
   std::unique_ptr<Preconditioner<float>> make_apply_fp32(Prec storage) override;
@@ -125,7 +157,7 @@ class IcApplyHandle final : public Preconditioner<VT> {
     ++cnt_->count;
     ic_solve(*f_, r, z, this->backend());
   }
-  [[nodiscard]] index_t size() const override { return f_->n; }
+  [[nodiscard]] index_t size() const override { return f_->pat->n; }
 
  private:
   std::shared_ptr<const IcFactors<SP>> f_;

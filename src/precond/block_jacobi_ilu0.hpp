@@ -27,37 +27,61 @@
 
 namespace nk {
 
-/// Factored block data at storage precision P.  The concatenated CSR covers
-/// all rows; each row stores L (strict lower, unit diagonal implicit)
-/// followed by U (diagonal + strict upper), with `diag_pos` marking the
-/// diagonal entry.
-template <class P>
-struct IluFactors {
+/// Sparsity of the block ILU(0) factors.  The concatenated CSR covers all
+/// rows; each row stores L (strict lower, unit diagonal implicit) followed
+/// by U (diagonal + strict upper), with `diag_pos` marking the diagonal
+/// entry.  One pattern is shared by the factor copies of every storage
+/// precision.
+struct IluPattern {
   index_t n = 0;
   std::vector<index_t> block_start;  ///< size nblocks+1
   std::vector<index_t> row_ptr;      ///< size n+1
   std::vector<index_t> col_idx;      ///< global columns, sorted, within-block
   std::vector<index_t> diag_pos;     ///< position of the diagonal in each row
-  std::vector<P> vals;
 
   [[nodiscard]] index_t nblocks() const {
     return static_cast<index_t>(block_start.size()) - 1;
   }
 };
 
-/// Cast factors to another storage precision (structure shared by copy).
+/// Factor values at storage precision P over a shared pattern, plus the
+/// reciprocal of U's diagonal (see ilu_detail::by_diag).
+template <class P>
+struct IluFactors {
+  std::shared_ptr<const IluPattern> pat;
+  std::vector<P> vals;
+  std::vector<P> inv_diag;  ///< 1/u_ii, size n
+
+  [[nodiscard]] index_t nblocks() const { return pat->nblocks(); }
+};
+
+/// Cast factor values to another storage precision; the pattern is shared,
+/// not copied.
 template <class Dst, class Src>
 IluFactors<Dst> cast_factors(const IluFactors<Src>& f) {
   IluFactors<Dst> out;
-  out.n = f.n;
-  out.block_start = f.block_start;
-  out.row_ptr = f.row_ptr;
-  out.col_idx = f.col_idx;
-  out.diag_pos = f.diag_pos;
+  out.pat = f.pat;
   out.vals.resize(f.vals.size());
   blas::convert<Src, Dst>(std::span<const Src>(f.vals), std::span<Dst>(out.vals));
+  out.inv_diag.resize(f.inv_diag.size());
+  blas::convert<Src, Dst>(std::span<const Src>(f.inv_diag), std::span<Dst>(out.inv_diag));
   return out;
 }
+
+namespace ilu_detail {
+
+/// s / u_ii in W: a multiply by the stored reciprocal when the factors are
+/// held in the working precision; a narrower storage (say fp16 factors on
+/// fp64 vectors) divides by the stored diagonal instead, because its
+/// reciprocal, rounded to the storage precision, would be less accurate
+/// than W.
+template <class W, class P>
+inline W by_diag(const IluFactors<P>& f, W s, index_t i) {
+  if constexpr (std::is_same_v<P, W>) return s * f.inv_diag[i];
+  else return s / static_cast<W>(f.vals[f.pat->diag_pos[i]]);
+}
+
+}  // namespace ilu_detail
 
 /// Block-parallel LU substitution:  z = U⁻¹ L⁻¹ r, computed in W.
 ///
@@ -66,30 +90,48 @@ IluFactors<Dst> cast_factors(const IluFactors<Src>& f) {
 /// each block's recurrence is a fixed serial chain), so the serial backend
 /// is the same math with the OpenMP team suppressed via the `if` clause —
 /// bit-identical to the host sweep by construction.
+///
+/// Each row's recurrence on the row before it is kept short: the entry
+/// coupling to the value just produced (z[i-1] forward, z[i+1] backward)
+/// is subtracted last, from a register copy of that value rather than a
+/// reload of z, and the diagonal goes through ilu_detail::by_diag.
 template <class P, class VT, class W = promote_t<P, VT>>
 void ilu_solve(const IluFactors<P>& f, std::span<const VT> r, std::span<VT> z,
                Backend be = Backend::kHost) {
-  const index_t nb = f.nblocks();
+  const IluPattern& g = *f.pat;
+  const index_t nb = g.nblocks();
   const bool par = be == Backend::kHost;
   (void)par;  // referenced only from the pragma; unused without OpenMP
 #pragma omp parallel for schedule(static) if (par)
   for (std::ptrdiff_t b = 0; b < static_cast<std::ptrdiff_t>(nb); ++b) {
-    const index_t b0 = f.block_start[b], b1 = f.block_start[b + 1];
+    const index_t b0 = g.block_start[b], b1 = g.block_start[b + 1];
+    W prev{0};  // z of the row last produced, as W
     // Forward: L y = r (unit diagonal), y written into z.
     for (index_t i = b0; i < b1; ++i) {
       W s = static_cast<W>(r[i]);
-      for (index_t p = f.row_ptr[i]; p < f.diag_pos[i]; ++p)
-        s -= static_cast<W>(f.vals[p]) * static_cast<W>(z[f.col_idx[p]]);
-      z[i] = static_cast<VT>(s);
+      const index_t begin = g.row_ptr[i], dp = g.diag_pos[i];
+      const bool adj = dp > begin && g.col_idx[dp - 1] == i - 1;
+      const index_t stop = adj ? dp - 1 : dp;
+      for (index_t p = begin; p < stop; ++p)
+        s -= static_cast<W>(f.vals[p]) * static_cast<W>(z[g.col_idx[p]]);
+      if (adj) s -= static_cast<W>(f.vals[dp - 1]) * prev;
+      const VT zi = static_cast<VT>(s);
+      z[i] = zi;
+      prev = static_cast<W>(zi);
     }
-    // Backward: U z = y, each row's entries in descending column order so
-    // z[i+1] — the value the previous row has just produced — enters the
-    // chain last and the other products do not wait for it.
+    // Backward: U z = y, the off-diagonal entries in descending column
+    // order.
     for (index_t i = b1; i-- > b0;) {
       W s = static_cast<W>(z[i]);
-      for (index_t p = f.row_ptr[i + 1]; p-- > f.diag_pos[i] + 1;)
-        s -= static_cast<W>(f.vals[p]) * static_cast<W>(z[f.col_idx[p]]);
-      z[i] = static_cast<VT>(s / static_cast<W>(f.vals[f.diag_pos[i]]));
+      const index_t dp = g.diag_pos[i], end = g.row_ptr[i + 1];
+      const bool adj = end > dp + 1 && g.col_idx[dp + 1] == i + 1;
+      const index_t stop = adj ? dp + 2 : dp + 1;
+      for (index_t p = end; p-- > stop;)
+        s -= static_cast<W>(f.vals[p]) * static_cast<W>(z[g.col_idx[p]]);
+      if (adj) s -= static_cast<W>(f.vals[dp + 1]) * prev;
+      const VT zi = static_cast<VT>(ilu_detail::by_diag<W>(f, s, i));
+      z[i] = zi;
+      prev = static_cast<W>(zi);
     }
   }
 }
@@ -103,35 +145,58 @@ template <class P, class VT, class W, int KC>
 void solve_group(const IluFactors<P>& f, const VT* rg, std::ptrdiff_t ldr, VT* zg,
                  std::ptrdiff_t ldz, int kc_dyn, Backend be) {
   const int kc = KC > 0 ? KC : kc_dyn;
-  const index_t nb = f.nblocks();
+  const IluPattern& g = *f.pat;
+  const index_t nb = g.nblocks();
   const bool par = be == Backend::kHost;
   (void)par;
 #pragma omp parallel for schedule(static) if (par)
   for (std::ptrdiff_t b = 0; b < static_cast<std::ptrdiff_t>(nb); ++b) {
-    const index_t b0 = f.block_start[b], b1 = f.block_start[b + 1];
+    const index_t b0 = g.block_start[b], b1 = g.block_start[b + 1];
     W s[kIluMaxCols];
+    W prev[kIluMaxCols] = {};
     // Forward: L y = r (unit diagonal), y written into z.
     for (index_t i = b0; i < b1; ++i) {
       for (int c = 0; c < kc; ++c) s[c] = static_cast<W>(rg[c * ldr + i]);
-      for (index_t p = f.row_ptr[i]; p < f.diag_pos[i]; ++p) {
+      const index_t begin = g.row_ptr[i], dp = g.diag_pos[i];
+      const bool adj = dp > begin && g.col_idx[dp - 1] == i - 1;
+      const index_t stop = adj ? dp - 1 : dp;
+      for (index_t p = begin; p < stop; ++p) {
         const W vp = static_cast<W>(f.vals[p]);
-        const VT* __restrict zc = zg + f.col_idx[p];
+        const VT* __restrict zc = zg + g.col_idx[p];
         for (int c = 0; c < kc; ++c)
           s[c] -= vp * static_cast<W>(zc[static_cast<std::ptrdiff_t>(c) * ldz]);
       }
-      for (int c = 0; c < kc; ++c) zg[c * ldz + i] = static_cast<VT>(s[c]);
+      if (adj) {
+        const W vp = static_cast<W>(f.vals[dp - 1]);
+        for (int c = 0; c < kc; ++c) s[c] -= vp * prev[c];
+      }
+      for (int c = 0; c < kc; ++c) {
+        const VT zi = static_cast<VT>(s[c]);
+        zg[c * ldz + i] = zi;
+        prev[c] = static_cast<W>(zi);
+      }
     }
-    // Backward: U z = y, entries in ilu_solve's descending column order.
+    // Backward: U z = y, entries in ilu_solve's order.
     for (index_t i = b1; i-- > b0;) {
       for (int c = 0; c < kc; ++c) s[c] = static_cast<W>(zg[c * ldz + i]);
-      for (index_t p = f.row_ptr[i + 1]; p-- > f.diag_pos[i] + 1;) {
+      const index_t dp = g.diag_pos[i], end = g.row_ptr[i + 1];
+      const bool adj = end > dp + 1 && g.col_idx[dp + 1] == i + 1;
+      const index_t stop = adj ? dp + 2 : dp + 1;
+      for (index_t p = end; p-- > stop;) {
         const W vp = static_cast<W>(f.vals[p]);
-        const VT* __restrict zc = zg + f.col_idx[p];
+        const VT* __restrict zc = zg + g.col_idx[p];
         for (int c = 0; c < kc; ++c)
           s[c] -= vp * static_cast<W>(zc[static_cast<std::ptrdiff_t>(c) * ldz]);
       }
-      const W d = static_cast<W>(f.vals[f.diag_pos[i]]);
-      for (int c = 0; c < kc; ++c) zg[c * ldz + i] = static_cast<VT>(s[c] / d);
+      if (adj) {
+        const W vp = static_cast<W>(f.vals[dp + 1]);
+        for (int c = 0; c < kc; ++c) s[c] -= vp * prev[c];
+      }
+      for (int c = 0; c < kc; ++c) {
+        const VT zi = static_cast<VT>(by_diag<W>(f, s[c], i));
+        zg[c * ldz + i] = zi;
+        prev[c] = static_cast<W>(zi);
+      }
     }
   }
 }
@@ -145,7 +210,8 @@ void solve_group(const IluFactors<P>& f, const VT* rg, std::ptrdiff_t ldr, VT* z
 /// applied to every column — which turns the substitution throughput-bound
 /// in exactly the way the batched SpMM does.  Per column the operation
 /// sequence (forward subtractions in ascending, backward ones in
-/// descending column order, then the divide) is ilu_solve()'s, so batched
+/// descending column order, the neighbour entry last, then the diagonal)
+/// is ilu_solve()'s, so batched
 /// and sequential applications agree bit-for-bit.
 template <class P, class VT, class W = promote_t<P, VT>>
 void ilu_solve_many(const IluFactors<P>& f, const VT* r, std::ptrdiff_t ldr, VT* z,
@@ -182,7 +248,7 @@ class BlockJacobiIlu0 final : public PrimaryPrecond {
   BlockJacobiIlu0(const CsrMatrix<double>& a, Config cfg);
 
   [[nodiscard]] std::string name() const override { return "bj-ilu0"; }
-  [[nodiscard]] index_t size() const override { return f64_->n; }
+  [[nodiscard]] index_t size() const override { return f64_->pat->n; }
 
   std::unique_ptr<Preconditioner<double>> make_apply_fp64(Prec storage) override;
   std::unique_ptr<Preconditioner<float>> make_apply_fp32(Prec storage) override;
@@ -220,7 +286,7 @@ class IluApplyHandle final : public Preconditioner<VT> {
     cnt_->count += static_cast<std::uint64_t>(k);
     ilu_solve_many(*f_, r, ldr, z, ldz, k, this->backend());
   }
-  [[nodiscard]] index_t size() const override { return f_->n; }
+  [[nodiscard]] index_t size() const override { return f_->pat->n; }
 
  private:
   std::shared_ptr<const IluFactors<SP>> f_;

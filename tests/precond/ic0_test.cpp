@@ -50,8 +50,8 @@ TEST(Ic0, FactorsReproduceMatrixOnPattern) {
   const auto& f = m.factors_fp64();
   // Reconstruct (L Lᵀ)_{ij} for stored lower entries and the diagonal.
   auto lentry = [&](index_t i, index_t j) {
-    for (index_t p = f.l_row_ptr[i]; p < f.l_row_ptr[i + 1]; ++p)
-      if (f.l_col[p] == j) return f.l_val[p];
+    for (index_t p = f.pat->l_row_ptr[i]; p < f.pat->l_row_ptr[i + 1]; ++p)
+      if (f.pat->l_col[p] == j) return f.l_val[p];
     return 0.0;
   };
   for (index_t i = 0; i < 10; ++i)
@@ -158,19 +158,19 @@ void check_ic_solve_against_long_double(const CsrMatrix<double>& a, int nblocks)
 
   std::vector<long double> ref(rd.size());
   for (index_t b = 0; b < f.nblocks(); ++b) {
-    const index_t b0 = f.block_start[b], b1 = f.block_start[b + 1];
+    const index_t b0 = f.pat->block_start[b], b1 = f.pat->block_start[b + 1];
     for (index_t i = b0; i < b1; ++i) {
       long double s = static_cast<long double>(r[i]);
-      const index_t end = f.l_row_ptr[i + 1] - 1;
-      for (index_t p = f.l_row_ptr[i]; p < end; ++p)
-        s -= static_cast<long double>(f.l_val[p]) * ref[f.l_col[p]];
+      const index_t end = f.pat->l_row_ptr[i + 1] - 1;
+      for (index_t p = f.pat->l_row_ptr[i]; p < end; ++p)
+        s -= static_cast<long double>(f.l_val[p]) * ref[f.pat->l_col[p]];
       ref[i] = s / static_cast<long double>(f.l_val[end]);
     }
     for (index_t i = b1; i-- > b0;) {
       long double s = ref[i];
-      const index_t begin = f.lt_row_ptr[i];
-      for (index_t p = begin + 1; p < f.lt_row_ptr[i + 1]; ++p)
-        s -= static_cast<long double>(f.lt_val[p]) * ref[f.lt_col[p]];
+      const index_t begin = f.pat->lt_row_ptr[i];
+      for (index_t p = begin + 1; p < f.pat->lt_row_ptr[i + 1]; ++p)
+        s -= static_cast<long double>(f.lt_val[p]) * ref[f.pat->lt_col[p]];
       ref[i] = s / static_cast<long double>(f.lt_val[begin]);
     }
   }

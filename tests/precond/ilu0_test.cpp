@@ -206,18 +206,18 @@ void check_ilu_solve_against_long_double(const CsrMatrix<double>& a, int nblocks
 
   std::vector<long double> ref(rd.size());
   for (index_t b = 0; b < f.nblocks(); ++b) {
-    const index_t b0 = f.block_start[b], b1 = f.block_start[b + 1];
+    const index_t b0 = f.pat->block_start[b], b1 = f.pat->block_start[b + 1];
     for (index_t i = b0; i < b1; ++i) {
       long double s = static_cast<long double>(r[i]);
-      for (index_t p = f.row_ptr[i]; p < f.diag_pos[i]; ++p)
-        s -= static_cast<long double>(f.vals[p]) * ref[f.col_idx[p]];
+      for (index_t p = f.pat->row_ptr[i]; p < f.pat->diag_pos[i]; ++p)
+        s -= static_cast<long double>(f.vals[p]) * ref[f.pat->col_idx[p]];
       ref[i] = s;
     }
     for (index_t i = b1; i-- > b0;) {
       long double s = ref[i];
-      for (index_t p = f.diag_pos[i] + 1; p < f.row_ptr[i + 1]; ++p)
-        s -= static_cast<long double>(f.vals[p]) * ref[f.col_idx[p]];
-      ref[i] = s / static_cast<long double>(f.vals[f.diag_pos[i]]);
+      for (index_t p = f.pat->diag_pos[i] + 1; p < f.pat->row_ptr[i + 1]; ++p)
+        s -= static_cast<long double>(f.vals[p]) * ref[f.pat->col_idx[p]];
+      ref[i] = s / static_cast<long double>(f.vals[f.pat->diag_pos[i]]);
     }
   }
   long double zmax = 0.0L;
