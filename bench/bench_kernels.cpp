@@ -44,7 +44,6 @@
 #include "base/blas_block.hpp"
 #include "base/options.hpp"
 #include "base/rng.hpp"
-#include "base/simd_fp16.hpp"
 #include "base/timer.hpp"
 #include "backend/kernels.hpp"
 #include "bench_common.hpp"
@@ -299,26 +298,14 @@ void bench_arnoldi_step(bench::JsonReport& rep, std::int64_t n) {
 }
 
 // ---------------------------------------------------------------------------
-// AVX-512 FP16: native binary16 kernels vs the F16C dispatch path
+// fp16 scal / axpy through the blas:: F16C paths
 // ---------------------------------------------------------------------------
-//
-// The scal_fp16 / axpy_fp16 records time whatever blas:: dispatches to
-// (F16C unless NKRYLOV_AVX512FP16 opts the native paths in — see
-// base/simd_fp16.hpp); the *_avx512fp16 records call the native kernels
-// directly, so each pair measures the native advantage with F16C as the
-// committed reference.  Native records are emitted only when the build and
-// CPU carry the feature; tools/bench_diff.py skips pairs absent from both
-// the fresh run and the baseline.
 
-void bench_fp16_native(bench::JsonReport& rep, std::int64_t n) {
+void bench_fp16_blas1(bench::JsonReport& rep, std::int64_t n) {
   const auto nn = static_cast<std::size_t>(n);
   const double vec_bytes = static_cast<double>(n) * sizeof(half);
   const std::vector<half> x0 = converted<half>(random_vector<double>(nn, 61, -1.0, 1.0));
   const std::vector<half> y0 = converted<half>(random_vector<double>(nn, 62, -1.0, 1.0));
-  // Both exactly representable in binary16, so the F16C path (fp32 compute,
-  // one rounding at the store) and the native path (binary16 compute)
-  // differ by at most 1 ulp_h — the tier simd_fp16.hpp documents, with no
-  // extra alpha-rounding term.
   const float as = 0.75f, aa = 0.125f;
 
   std::vector<half> xb = x0, yb = y0;
@@ -333,58 +320,6 @@ void bench_fp16_native(bench::JsonReport& rep, std::int64_t n) {
     asm volatile("" ::"r"(yb.data()) : "memory");
   });
   rep.add("axpy_fp16", n, 0, s, 3 * vec_bytes / s / 1e9);
-
-  if (!simd_fp16::compiled() || !simd_fp16::cpu_supported()) {
-    std::cout << "fp16 native kernels: avx512fp16 "
-              << (simd_fp16::compiled() ? "unsupported by this CPU" : "not compiled in")
-              << "; skipping *_avx512fp16 records\n";
-    return;
-  }
-
-  // Verify each native kernel against the dispatch path on fresh copies
-  // (identical when NKRYLOV_AVX512FP16 routes blas:: to the same kernels).
-  const double ulp_h = 2e-3;  // 1 ulp_h at magnitude <= 2, with headroom
-  {
-    std::vector<half> xr = x0, xn = x0;
-    blas::scal(as, std::span<half>(xr));
-    simd_fp16::scal_n(static_cast<half>(as), xn.data(), n);
-    double d = 0.0;
-    for (std::size_t i = 0; i < nn; ++i)
-      d = std::max(d, std::abs(static_cast<double>(xn[i]) - static_cast<double>(xr[i])));
-    check("scal_fp16_avx512fp16", d, ulp_h);
-
-    std::vector<half> yr = y0, yn = y0;
-    blas::axpy(aa, std::span<const half>(x0), std::span<half>(yr));
-    simd_fp16::axpy_n(static_cast<half>(aa), x0.data(), yn.data(), n);
-    d = 0.0;
-    for (std::size_t i = 0; i < nn; ++i)
-      d = std::max(d, std::abs(static_cast<double>(yn[i]) - static_cast<double>(yr[i])));
-    check("axpy_fp16_avx512fp16", d, ulp_h);
-
-    const float dn = simd_fp16::dot_n(x0.data(), y0.data(), n);
-    const float dr = blas::dot(std::span<const half>(x0), std::span<const half>(y0));
-    check("dot_fp16_avx512fp16", std::abs(static_cast<double>(dn) - static_cast<double>(dr)),
-          tol_for<half>(static_cast<double>(n)));
-  }
-
-  const half ash = static_cast<half>(as), aah = static_cast<half>(aa);
-  s = time_min([&] {
-    simd_fp16::scal_n(ash, xb.data(), n);
-    asm volatile("" ::"r"(xb.data()) : "memory");
-  });
-  rep.add("scal_fp16_avx512fp16", n, 0, s, 2 * vec_bytes / s / 1e9);
-
-  s = time_min([&] {
-    simd_fp16::axpy_n(aah, x0.data(), yb.data(), n);
-    asm volatile("" ::"r"(yb.data()) : "memory");
-  });
-  rep.add("axpy_fp16_avx512fp16", n, 0, s, 3 * vec_bytes / s / 1e9);
-
-  s = time_min([&] {
-    auto d = simd_fp16::dot_n(x0.data(), y0.data(), n);
-    asm volatile("" ::"r"(&d) : "memory");
-  });
-  rep.add("dot_fp16_avx512fp16", n, 0, s, 2 * vec_bytes / s / 1e9);
 }
 
 // ---------------------------------------------------------------------------
@@ -845,7 +780,7 @@ void bench_ic_apply_fp16(bench::JsonReport& rep, const CsrMatrix<double>& a64) {
     h->apply(std::span<const half>(x), std::span<half>(y));
     asm volatile("" ::"r"(y.data()) : "memory");
   });
-  const auto& f = ic.factors_fp64();
+  const auto& f = ic.factors<double>();
   const double entries = static_cast<double>(f.l_val.size() + f.lt_val.size());
   rep.add("ic_apply_fp16", a64.nrows, static_cast<std::int64_t>(a64.nnz()), s,
           entries * (sizeof(half) + 4.0) / s / 1e9);
@@ -1152,7 +1087,7 @@ int main(int argc, char** argv) {
   bench_arnoldi_step<half>(rep, n);
 
   bench_convert(rep, n);
-  bench_fp16_native(rep, n);
+  bench_fp16_blas1(rep, n);
 
   const index_t side = static_cast<index_t>(32 * scale);
   auto hpcg = gen::stencil27({.nx = side, .ny = side, .nz = side});

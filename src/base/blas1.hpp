@@ -21,7 +21,6 @@
 
 #include "base/env.hpp"
 #include "base/half.hpp"
-#include "base/simd_fp16.hpp"
 
 #ifdef _OPENMP
 #include <omp.h>
@@ -59,11 +58,11 @@ constexpr int greedy_group(int remaining, int max_tier) {
 namespace detail {
 
 /// The one parallel summation order of the host reductions (dot, nrm2,
-/// dot_many): [0, n4) splits into one contiguous chunk per team thread,
-/// ceil(n4/nt) rounded up to a multiple of 4 (so the fp16 four-way unroll
-/// stays aligned), `body(i0, i1, part)` accumulates `lanes` partial sums
-/// over its chunk, and the per-thread partials are added into
-/// acc[0, lanes) in thread order.  Deterministic for a fixed thread count
+/// dot_many, relative_residual): [0, n4) splits into one contiguous chunk
+/// per team thread, ceil(n4/nt) rounded up to a multiple of 4 (so the fp16
+/// four-way unroll stays aligned), `body(i0, i1, part)` accumulates
+/// `lanes` partial sums over its chunk, and the per-thread partials are
+/// added into acc[0, lanes) in thread order.  Deterministic for a fixed thread count
 /// — an OpenMP `reduction` clause combines in thread-arrival order — and
 /// identical to the serial chain body(0, n4, acc) when one thread runs, so
 /// a dot equals the matching dot_many column at every thread count.
@@ -178,15 +177,6 @@ void scal(S alpha, std::span<T> x) {
   const auto a = static_cast<W>(alpha);
   if constexpr (std::is_same_v<T, half> && std::is_same_v<W, float>) {
     T* __restrict xp = x.data();
-    if (simd_fp16::enabled()) {
-      // Native binary16 multiply, 32 lanes per instruction (tolerance tier
-      // vs the F16C reference documented in simd_fp16.hpp).
-      const half ah = static_cast<half>(a);
-#pragma omp parallel for schedule(static) if (n > parallel_threshold())
-      for (std::ptrdiff_t t0 = 0; t0 < n; t0 += kHalfChunk)
-        simd_fp16::scal_n(ah, xp + t0, std::min(kHalfChunk, n - t0));
-      return;
-    }
     // Same per-element op — x[i] = half(a·float(x[i])) — via the
     // vectorized F16C conversions (GCC scalarizes _Float16 loops).
 #pragma omp parallel for schedule(static) if (n > parallel_threshold())
@@ -214,17 +204,6 @@ void axpy(S alpha, std::span<const TX> x, std::span<TY> y) {
                 std::is_same_v<W, float>) {
     const TX* __restrict xp = x.data();
     TY* __restrict yp = y.data();
-    if constexpr (std::is_same_v<TX, half> && std::is_same_v<TY, half>) {
-      if (simd_fp16::enabled()) {
-        // Native fused binary16 multiply-add, 32 lanes per instruction
-        // (tolerance tier vs the F16C reference: see simd_fp16.hpp).
-        const half ah = static_cast<half>(a);
-#pragma omp parallel for schedule(static) if (n > parallel_threshold())
-        for (std::ptrdiff_t t0 = 0; t0 < n; t0 += kHalfChunk)
-          simd_fp16::axpy_n(ah, xp + t0, yp + t0, std::min(kHalfChunk, n - t0));
-        return;
-      }
-    }
     // Same per-element op via chunked F16C conversion (the innermost
     // Richardson update x += ω·r runs entirely on fp16 vectors).
 #pragma omp parallel for schedule(static) if (n > parallel_threshold())
@@ -278,19 +257,6 @@ auto dot(std::span<const TX> x, std::span<const TY> y) {
   using W = acc_t<promote_t<TX, TY>>;
   const std::ptrdiff_t n = static_cast<std::ptrdiff_t>(x.size());
   if constexpr (sizeof(TX) == 2 || sizeof(TY) == 2) {
-    if constexpr (std::is_same_v<TX, half> && std::is_same_v<TY, half>) {
-      if (simd_fp16::enabled()) {
-        // ZMM-width conversion + fp32 FMA; the lane-reassociated sum is a
-        // documented tolerance tier (see simd_fp16.hpp), like any change
-        // of thread count on the reference reduction below.
-        W s{0};
-#pragma omp parallel for schedule(static) reduction(+ : s) if (n > parallel_threshold())
-        for (std::ptrdiff_t t0 = 0; t0 < n; t0 += kHalfChunk)
-          s += simd_fp16::dot_n(x.data() + t0, y.data() + t0,
-                                std::min(kHalfChunk, n - t0));
-        return s;
-      }
-    }
     const std::ptrdiff_t n4 = n - (n % 4);
     W acc[4] = {};
     detail::partial_sums(n4, 4, n > parallel_threshold(), acc,

@@ -9,7 +9,6 @@
 #include <string_view>
 
 #include "base/backend.hpp"
-#include "base/simd_fp16.hpp"
 
 #ifdef _OPENMP
 #include <omp.h>
@@ -100,10 +99,6 @@ bool has_f16c() {
 #endif
 }
 
-bool has_avx512fp16_kernels() { return simd_fp16::compiled(); }
-
-bool avx512fp16_dispatched() { return simd_fp16::enabled(); }
-
 std::string env_summary() {
   std::ostringstream os;
   os << "threads=" << num_threads();
@@ -113,20 +108,8 @@ std::string env_summary() {
   os << " openmp=off";
 #endif
   os << " f16c=" << (has_f16c() ? "yes" : "no");
-  // Truth-in-reporting: the field describes the state of the native
-  // AVX-512 FP16 KERNELS, not bare CPUID.  "dispatch" = kernel bodies
-  // compiled in, CPU supports them, and NKRYLOV_AVX512FP16 opted in — the
-  // fp16 BLAS-1 calls actually run them.  "compiled" = bodies present but
-  // not dispatched (no CPU support or opt-in unset); "no" = this build
-  // carries no native fp16 kernel paths at all.
-  os << " avx512fp16=";
-  if (simd_fp16::enabled()) os << "dispatch";
-  else if (simd_fp16::compiled()) os << "compiled";
-  else os << "no";
   // Which implementation the fp16 BLAS-1/reduction kernels actually use.
-  os << " fp16-kernels=";
-  if (simd_fp16::enabled()) os << "avx512fp16";
-  else os << (has_f16c() ? "f16c" : "scalar");
+  os << " fp16-kernels=" << (has_f16c() ? "f16c" : "scalar");
   // Requested-vs-active backend: the active (canonical) name first; the
   // requested spelling in parentheses whenever it differs — an alias
   // ("omp") or an invalid value that Session will refuse to build with.

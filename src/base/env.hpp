@@ -65,13 +65,4 @@ std::string env_summary();
 /// informational only; _Float16 is always functionally available.
 bool has_f16c();
 
-/// True when this build carries the native AVX-512 FP16 kernel bodies
-/// (compiled with -mavx512fp16; see base/simd_fp16.hpp).
-bool has_avx512fp16_kernels();
-
-/// True when those kernels are actually dispatched at runtime: compiled in,
-/// CPU support present, and NKRYLOV_AVX512FP16 opted in.  This — not bare
-/// CPUID — is what env_summary()'s avx512fp16= field reports.
-bool avx512fp16_dispatched();
-
 }  // namespace nk

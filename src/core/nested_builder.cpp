@@ -10,45 +10,35 @@ namespace nk {
 
 // ---------------------------------------------------------------- matrices
 
-MultiPrecMatrix::MultiPrecMatrix(CsrMatrix<double> a, bool use_sell, int sell_chunk)
-    : a64_(std::move(a)), use_sell_(use_sell), chunk_(sell_chunk) {
+namespace {
+
+MatrixCopy<double> square_copy(CsrMatrix<double> a, bool use_sell, int sell_chunk) {
   // SpecError subclasses std::invalid_argument, so legacy catch sites keep
   // working while the library path (Session) reports kInvalidInput.
-  if (a64_.nrows != a64_.ncols)
-    throw SpecError("MultiPrecMatrix: matrix must be square");
-  if (use_sell_) s64_ = csr_to_sell(a64_, chunk_);
+  if (a.nrows != a.ncols) throw SpecError("MultiPrecMatrix: matrix must be square");
+  MatrixCopy<double> c{std::move(a), std::nullopt};
+  if (use_sell) c.sell = csr_to_sell(c.csr, sell_chunk);
+  return c;
 }
 
-void MultiPrecMatrix::ensure(Prec mp) {
-  switch (mp) {
-    case Prec::FP64:
-      break;  // always present
-    case Prec::FP32:
-      if (!a32_) a32_ = cast_matrix<float>(a64_);
-      if (use_sell_ && !s32_) s32_ = csr_to_sell(*a32_, chunk_);
-      break;
-    case Prec::FP16:
-      if (!a16_) a16_ = cast_matrix<half>(a64_);
-      if (use_sell_ && !s16_) s16_ = csr_to_sell(*a16_, chunk_);
-      break;
-  }
+template <class VT, class P>
+std::unique_ptr<Operator<VT>> operator_over(const MatrixCopy<P>& c, Backend be) {
+  if (c.sell) return std::make_unique<SellOperator<P, VT>>(*c.sell, be);
+  return std::make_unique<CsrOperator<P, VT>>(c.csr, be);
 }
+
+}  // namespace
+
+MultiPrecMatrix::MultiPrecMatrix(CsrMatrix<double> a, bool use_sell, int sell_chunk)
+    : copies_(std::make_shared<const MatrixCopy<double>>(
+          square_copy(std::move(a), use_sell, sell_chunk))) {}
 
 template <class VT>
 std::unique_ptr<Operator<VT>> MultiPrecMatrix::make_operator(Prec mp, Backend be) {
-  ensure(mp);
-  if (use_sell_) {
-    switch (mp) {
-      case Prec::FP64: return std::make_unique<SellOperator<double, VT>>(*s64_, be);
-      case Prec::FP32: return std::make_unique<SellOperator<float, VT>>(*s32_, be);
-      case Prec::FP16: return std::make_unique<SellOperator<half, VT>>(*s16_, be);
-    }
-  } else {
-    switch (mp) {
-      case Prec::FP64: return std::make_unique<CsrOperator<double, VT>>(a64_, be);
-      case Prec::FP32: return std::make_unique<CsrOperator<float, VT>>(*a32_, be);
-      case Prec::FP16: return std::make_unique<CsrOperator<half, VT>>(*a16_, be);
-    }
+  switch (mp) {
+    case Prec::FP64: return operator_over<VT>(*copies_.get<double>(), be);
+    case Prec::FP32: return operator_over<VT>(*copies_.get<float>(), be);
+    case Prec::FP16: return operator_over<VT>(*copies_.get<half>(), be);
   }
   throw std::logic_error("MultiPrecMatrix: bad precision");
 }
@@ -61,12 +51,15 @@ template std::unique_ptr<Operator<half>> MultiPrecMatrix::make_operator<half>(Pr
                                                                               Backend);
 
 std::size_t MultiPrecMatrix::value_bytes() const {
-  std::size_t b = a64_.vals.size() * sizeof(double);
-  if (a32_) b += a32_->vals.size() * sizeof(float);
-  if (a16_) b += a16_->vals.size() * sizeof(half);
-  if (s64_) b += s64_->vals.size() * sizeof(double);
-  if (s32_) b += s32_->vals.size() * sizeof(float);
-  if (s16_) b += s16_->vals.size() * sizeof(half);
+  std::size_t b = 0;
+  const auto add = [&b]<class P>(const std::shared_ptr<const MatrixCopy<P>>& c) {
+    if (!c) return;
+    b += c->csr.vals.size() * sizeof(P);
+    if (c->sell) b += c->sell->vals.size() * sizeof(P);
+  };
+  add(copies_.minted<double>());
+  add(copies_.minted<float>());
+  add(copies_.minted<half>());
   return b;
 }
 

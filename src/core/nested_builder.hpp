@@ -40,18 +40,40 @@
 
 namespace nk {
 
+/// One storage precision's copy of A: CSR, plus sliced ELLPACK when the
+/// operators use it.
+template <class P>
+struct MatrixCopy {
+  CsrMatrix<P> csr;
+  std::optional<SellMatrix<P>> sell;
+};
+
+/// Cast A's values to another storage precision (SELL rebuilt from the
+/// cast CSR copy).
+template <class Dst, class Src>
+MatrixCopy<Dst> cast_factors(const MatrixCopy<Src>& m) {
+  MatrixCopy<Dst> out{cast_matrix<Dst>(m.csr), std::nullopt};
+  if (m.sell) out.sell = csr_to_sell(out.csr, m.sell->chunk);
+  return out;
+}
+
 /// Matrix copies per storage precision, CSR and (optionally) sliced
 /// ELLPACK.  F3R "requires storing matrix values in fp64, fp32, and fp16";
-/// copies are created lazily for the precisions a configuration uses.
+/// the fp32/fp16 copies come from a PrecCopies ladder, so each is cast
+/// once, for the precisions a configuration uses, on its first
+/// make_operator — and safely when Sessions sharing this matrix make their
+/// first operators at the same time.
 class MultiPrecMatrix {
  public:
   /// `use_sell` switches every operator to the sliced-ELLPACK kernels (the
   /// paper's GPU storage; chunk 32).
   explicit MultiPrecMatrix(CsrMatrix<double> a, bool use_sell = false, int sell_chunk = 32);
 
-  [[nodiscard]] index_t size() const { return a64_.nrows; }
-  [[nodiscard]] const CsrMatrix<double>& csr_fp64() const { return a64_; }
-  [[nodiscard]] bool uses_sell() const { return use_sell_; }
+  [[nodiscard]] index_t size() const { return csr_fp64().nrows; }
+  [[nodiscard]] const CsrMatrix<double>& csr_fp64() const {
+    return copies_.get<double>()->csr;
+  }
+  [[nodiscard]] bool uses_sell() const { return copies_.get<double>()->sell.has_value(); }
 
   /// Create a typed operator (vector type VT over storage precision `mp`)
   /// whose products run on backend `be`.  The operator references matrix
@@ -64,16 +86,7 @@ class MultiPrecMatrix {
   [[nodiscard]] std::size_t value_bytes() const;
 
  private:
-  void ensure(Prec mp);
-
-  CsrMatrix<double> a64_;
-  std::optional<CsrMatrix<float>> a32_;
-  std::optional<CsrMatrix<half>> a16_;
-  bool use_sell_;
-  int chunk_;
-  std::optional<SellMatrix<double>> s64_;
-  std::optional<SellMatrix<float>> s32_;
-  std::optional<SellMatrix<half>> s16_;
+  PrecCopies<MatrixCopy> copies_;
 };
 
 /// Converts between the vector precisions of adjacent nesting levels:
@@ -159,7 +172,8 @@ struct Termination {
 /// A fully built nested solver, ready to solve repeatedly.
 ///
 /// Setup/solve split: construction is the setup phase — it materializes
-/// the per-precision matrix copies (cached inside MultiPrecMatrix), mints
+/// the per-precision matrix copies (minted once inside MultiPrecMatrix and
+/// shared by every tuple built on it), mints
 /// the preconditioner apply handles, and acquires every level's Krylov
 /// buffers.  With an external SolverWorkspace those buffers are drawn from
 /// the shared pool under "lvl<d>."-prefixed keys, so building a second

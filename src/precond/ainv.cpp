@@ -87,7 +87,7 @@ CsrMatrix<double> cols_to_csr_rows(const std::vector<Col>& cols, index_t n) {
 
 }  // namespace
 
-SdAinv::SdAinv(const CsrMatrix<double>& a_in, Config cfg) {
+SdAinv::SdAinv(const CsrMatrix<double>& a_in, Config cfg) : FactoredPrecond(a_in.nrows) {
   if (a_in.nrows != a_in.ncols) throw std::invalid_argument("SdAinv: matrix must be square");
   const index_t n = a_in.nrows;
 
@@ -178,32 +178,7 @@ SdAinv::SdAinv(const CsrMatrix<double>& a_in, Config cfg) {
   f->inv_d.resize(n);
   for (index_t i = 0; i < n; ++i) f->inv_d[i] = 1.0 / d[i];
   clamped_ = clamped;
-  f64_ = std::move(f);
-}
-
-template <class VT>
-std::unique_ptr<Preconditioner<VT>> SdAinv::make_apply_impl(Prec storage) {
-  switch (storage) {
-    case Prec::FP64:
-      return std::make_unique<AinvApplyHandle<double, VT>>(f64_, counter_);
-    case Prec::FP32:
-      if (!f32_) f32_ = std::make_shared<AinvFactors<float>>(cast_factors<float>(*f64_));
-      return std::make_unique<AinvApplyHandle<float, VT>>(f32_, counter_);
-    case Prec::FP16:
-      if (!f16_) f16_ = std::make_shared<AinvFactors<half>>(cast_factors<half>(*f64_));
-      return std::make_unique<AinvApplyHandle<half, VT>>(f16_, counter_);
-  }
-  throw std::logic_error("SdAinv: bad storage precision");
-}
-
-std::unique_ptr<Preconditioner<double>> SdAinv::make_apply_fp64(Prec storage) {
-  return make_apply_impl<double>(storage);
-}
-std::unique_ptr<Preconditioner<float>> SdAinv::make_apply_fp32(Prec storage) {
-  return make_apply_impl<float>(storage);
-}
-std::unique_ptr<Preconditioner<half>> SdAinv::make_apply_fp16(Prec storage) {
-  return make_apply_impl<half>(storage);
+  set_factors(std::move(f));
 }
 
 }  // namespace nk

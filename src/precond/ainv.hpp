@@ -69,40 +69,6 @@ void ainv_apply(const AinvFactors<P>& f, std::span<const VT> r, std::span<VT> z,
   kx.spmv(f.z, std::span<const VT>(tmp.data(), tmp.size()), z);  // z = Z tmp
 }
 
-class SdAinv final : public PrimaryPrecond {
- public:
-  struct Config {
-    double alpha = 1.0;      ///< α_AINV diagonal boost during construction
-    double drop_tol = 0.1;   ///< relative drop threshold for Z/W entries
-    int max_fill = 10;       ///< per-column cap on off-diagonal fill
-    bool symmetric = false;  ///< true → single-sided biconjugation (W = Z)
-    double pivot_floor = 1e-8;  ///< |d| clamp (stabilized pivots)
-  };
-
-  SdAinv(const CsrMatrix<double>& a, Config cfg);
-
-  [[nodiscard]] std::string name() const override { return "sd-ainv"; }
-  [[nodiscard]] index_t size() const override { return f64_->n; }
-
-  std::unique_ptr<Preconditioner<double>> make_apply_fp64(Prec storage) override;
-  std::unique_ptr<Preconditioner<float>> make_apply_fp32(Prec storage) override;
-  std::unique_ptr<Preconditioner<half>> make_apply_fp16(Prec storage) override;
-
-  /// Pivots clamped by the stabilization floor.
-  [[nodiscard]] int clamped_pivots() const { return clamped_; }
-
-  [[nodiscard]] const AinvFactors<double>& factors_fp64() const { return *f64_; }
-
- private:
-  template <class VT>
-  std::unique_ptr<Preconditioner<VT>> make_apply_impl(Prec storage);
-
-  std::shared_ptr<AinvFactors<double>> f64_;
-  std::shared_ptr<AinvFactors<float>> f32_;
-  std::shared_ptr<AinvFactors<half>> f16_;
-  int clamped_ = 0;
-};
-
 template <class SP, class VT>
 class AinvApplyHandle final : public Preconditioner<VT> {
  public:
@@ -120,6 +86,27 @@ class AinvApplyHandle final : public Preconditioner<VT> {
   std::shared_ptr<const AinvFactors<SP>> f_;
   std::shared_ptr<InvocationCounter> cnt_;
   std::vector<VT> tmp_;
+};
+
+class SdAinv final : public FactoredPrecond<AinvFactors, AinvApplyHandle> {
+ public:
+  struct Config {
+    double alpha = 1.0;      ///< α_AINV diagonal boost during construction
+    double drop_tol = 0.1;   ///< relative drop threshold for Z/W entries
+    int max_fill = 10;       ///< per-column cap on off-diagonal fill
+    bool symmetric = false;  ///< true → single-sided biconjugation (W = Z)
+    double pivot_floor = 1e-8;  ///< |d| clamp (stabilized pivots)
+  };
+
+  SdAinv(const CsrMatrix<double>& a, Config cfg);
+
+  [[nodiscard]] std::string name() const override { return "sd-ainv"; }
+
+  /// Pivots clamped by the stabilization floor.
+  [[nodiscard]] int clamped_pivots() const { return clamped_; }
+
+ private:
+  int clamped_ = 0;
 };
 
 }  // namespace nk

@@ -7,7 +7,8 @@
 
 namespace nk {
 
-BlockJacobiIc0::BlockJacobiIc0(const CsrMatrix<double>& a, Config cfg) {
+BlockJacobiIc0::BlockJacobiIc0(const CsrMatrix<double>& a, Config cfg)
+    : FactoredPrecond(a.nrows) {
   if (a.nrows != a.ncols) throw std::invalid_argument("BlockJacobiIc0: matrix must be square");
   auto pat = std::make_shared<IcPattern>();
   IcPattern& g = *pat;
@@ -120,32 +121,7 @@ BlockJacobiIc0::BlockJacobiIc0(const CsrMatrix<double>& a, Config cfg) {
   f->inv_diag.resize(a.nrows);
   for (index_t i = 0; i < a.nrows; ++i) f->inv_diag[i] = 1.0 / f->l_val[g.l_row_ptr[i + 1] - 1];
   f->pat = std::move(pat);
-  f64_ = std::move(f);
-}
-
-template <class VT>
-std::unique_ptr<Preconditioner<VT>> BlockJacobiIc0::make_apply_impl(Prec storage) {
-  switch (storage) {
-    case Prec::FP64:
-      return std::make_unique<IcApplyHandle<double, VT>>(f64_, counter_);
-    case Prec::FP32:
-      if (!f32_) f32_ = std::make_shared<IcFactors<float>>(cast_factors<float>(*f64_));
-      return std::make_unique<IcApplyHandle<float, VT>>(f32_, counter_);
-    case Prec::FP16:
-      if (!f16_) f16_ = std::make_shared<IcFactors<half>>(cast_factors<half>(*f64_));
-      return std::make_unique<IcApplyHandle<half, VT>>(f16_, counter_);
-  }
-  throw std::logic_error("BlockJacobiIc0: bad storage precision");
-}
-
-std::unique_ptr<Preconditioner<double>> BlockJacobiIc0::make_apply_fp64(Prec storage) {
-  return make_apply_impl<double>(storage);
-}
-std::unique_ptr<Preconditioner<float>> BlockJacobiIc0::make_apply_fp32(Prec storage) {
-  return make_apply_impl<float>(storage);
-}
-std::unique_ptr<Preconditioner<half>> BlockJacobiIc0::make_apply_fp16(Prec storage) {
-  return make_apply_impl<half>(storage);
+  set_factors(std::move(f));
 }
 
 }  // namespace nk

@@ -6,8 +6,9 @@
 // sparsity pattern of A_b.  The α_ILU diagonal boost is applied during the
 // factorization, and non-positive pivots (IC(0) can break down on matrices
 // that are not M-matrices) are clamped to a small positive value and
-// counted.  Like ILU(0), factorization happens in fp64 with lazy fp32/fp16
-// value casts for the mixed-precision apply handles.
+// counted.  Like ILU(0), factorization happens in fp64, and the fp32/fp16
+// value copies the mixed-precision apply handles use are cast on first use
+// (PrecCopies), sharing the fp64 factor's pattern.
 #pragma once
 
 #include <memory>
@@ -116,37 +117,6 @@ void ic_solve(const IcFactors<P>& f, std::span<const VT> r, std::span<VT> z,
   }
 }
 
-class BlockJacobiIc0 final : public PrimaryPrecond {
- public:
-  struct Config {
-    int nblocks = 0;     ///< 0 → one block per OpenMP thread
-    double alpha = 1.0;  ///< α diagonal boost during factorization
-  };
-
-  BlockJacobiIc0(const CsrMatrix<double>& a, Config cfg);
-
-  [[nodiscard]] std::string name() const override { return "bj-ic0"; }
-  [[nodiscard]] index_t size() const override { return f64_->pat->n; }
-
-  std::unique_ptr<Preconditioner<double>> make_apply_fp64(Prec storage) override;
-  std::unique_ptr<Preconditioner<float>> make_apply_fp32(Prec storage) override;
-  std::unique_ptr<Preconditioner<half>> make_apply_fp16(Prec storage) override;
-
-  /// Non-positive pivots clamped during factorization.
-  [[nodiscard]] int breakdowns() const { return breakdowns_; }
-
-  [[nodiscard]] const IcFactors<double>& factors_fp64() const { return *f64_; }
-
- private:
-  template <class VT>
-  std::unique_ptr<Preconditioner<VT>> make_apply_impl(Prec storage);
-
-  std::shared_ptr<IcFactors<double>> f64_;
-  std::shared_ptr<IcFactors<float>> f32_;
-  std::shared_ptr<IcFactors<half>> f16_;
-  int breakdowns_ = 0;
-};
-
 template <class SP, class VT>
 class IcApplyHandle final : public Preconditioner<VT> {
  public:
@@ -162,6 +132,24 @@ class IcApplyHandle final : public Preconditioner<VT> {
  private:
   std::shared_ptr<const IcFactors<SP>> f_;
   std::shared_ptr<InvocationCounter> cnt_;
+};
+
+class BlockJacobiIc0 final : public FactoredPrecond<IcFactors, IcApplyHandle> {
+ public:
+  struct Config {
+    int nblocks = 0;     ///< 0 → one block per OpenMP thread
+    double alpha = 1.0;  ///< α diagonal boost during factorization
+  };
+
+  BlockJacobiIc0(const CsrMatrix<double>& a, Config cfg);
+
+  [[nodiscard]] std::string name() const override { return "bj-ic0"; }
+
+  /// Non-positive pivots clamped during factorization.
+  [[nodiscard]] int breakdowns() const { return breakdowns_; }
+
+ private:
+  int breakdowns_ = 0;
 };
 
 }  // namespace nk

@@ -17,13 +17,12 @@ std::vector<index_t> make_block_starts(index_t n, int nblocks) {
   return starts;
 }
 
-BlockJacobiIlu0::BlockJacobiIlu0(const CsrMatrix<double>& a, Config cfg) {
-  if (a.nrows != a.ncols) throw std::invalid_argument("BlockJacobiIlu0: matrix must be square");
+std::shared_ptr<IluPattern> block_restrict(const CsrMatrix<double>& a, int nblocks,
+                                           std::vector<double>& vals) {
   auto pat = std::make_shared<IluPattern>();
   IluPattern& g = *pat;
-  auto f = std::make_shared<IluFactors<double>>();
   g.n = a.nrows;
-  g.block_start = make_block_starts(a.nrows, cfg.nblocks);
+  g.block_start = make_block_starts(a.nrows, nblocks);
   const index_t nb = g.nblocks();
 
   // Pass 1: count per-row entries restricted to the owning block, inserting
@@ -51,10 +50,10 @@ BlockJacobiIlu0::BlockJacobiIlu0(const CsrMatrix<double>& a, Config cfg) {
   }
   for (index_t i = 0; i < a.nrows; ++i) g.row_ptr[i + 1] += g.row_ptr[i];
   g.col_idx.resize(g.row_ptr[a.nrows]);
-  f->vals.resize(g.row_ptr[a.nrows]);
+  vals.resize(g.row_ptr[a.nrows]);
   g.diag_pos.resize(a.nrows);
 
-  // Pass 2: copy entries (sorted) with the α-boosted diagonal.
+  // Pass 2: copy entries (sorted).
 #pragma omp parallel for schedule(static)
   for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(a.nrows); ++i) {
     const index_t b = owner[i];
@@ -67,12 +66,12 @@ BlockJacobiIlu0::BlockJacobiIlu0(const CsrMatrix<double>& a, Config cfg) {
       if (!placed_diag && c > static_cast<index_t>(i)) {
         // insert missing diagonal before the first upper entry
         g.col_idx[p] = static_cast<index_t>(i);
-        f->vals[p] = 0.0;
+        vals[p] = 0.0;
         g.diag_pos[i] = p++;
         placed_diag = true;
       }
       g.col_idx[p] = c;
-      f->vals[p] = (c == static_cast<index_t>(i)) ? a.vals[k] * cfg.alpha : a.vals[k];
+      vals[p] = a.vals[k];
       if (c == static_cast<index_t>(i)) {
         g.diag_pos[i] = p;
         placed_diag = true;
@@ -81,10 +80,22 @@ BlockJacobiIlu0::BlockJacobiIlu0(const CsrMatrix<double>& a, Config cfg) {
     }
     if (!placed_diag) {
       g.col_idx[p] = static_cast<index_t>(i);
-      f->vals[p] = 0.0;
+      vals[p] = 0.0;
       g.diag_pos[i] = p;
     }
   }
+  return pat;
+}
+
+BlockJacobiIlu0::BlockJacobiIlu0(const CsrMatrix<double>& a, Config cfg)
+    : FactoredPrecond(a.nrows) {
+  if (a.nrows != a.ncols) throw std::invalid_argument("BlockJacobiIlu0: matrix must be square");
+  auto f = std::make_shared<IluFactors<double>>();
+  f->pat = block_restrict(a, cfg.nblocks, f->vals);
+  const IluPattern& g = *f->pat;
+  const index_t nb = g.nblocks();
+  // α boost of the diagonal (for finite α an inserted zero stays zero).
+  for (index_t i = 0; i < a.nrows; ++i) f->vals[g.diag_pos[i]] *= cfg.alpha;
 
   // Pass 3: IKJ ILU(0) per block.
   int breakdowns = 0;
@@ -119,33 +130,7 @@ BlockJacobiIlu0::BlockJacobiIlu0(const CsrMatrix<double>& a, Config cfg) {
   breakdowns_ = breakdowns;
   f->inv_diag.resize(a.nrows);
   for (index_t i = 0; i < a.nrows; ++i) f->inv_diag[i] = 1.0 / f->vals[g.diag_pos[i]];
-  f->pat = std::move(pat);
-  f64_ = std::move(f);
-}
-
-template <class VT>
-std::unique_ptr<Preconditioner<VT>> BlockJacobiIlu0::make_apply_impl(Prec storage) {
-  switch (storage) {
-    case Prec::FP64:
-      return std::make_unique<IluApplyHandle<double, VT>>(f64_, counter_);
-    case Prec::FP32:
-      if (!f32_) f32_ = std::make_shared<IluFactors<float>>(cast_factors<float>(*f64_));
-      return std::make_unique<IluApplyHandle<float, VT>>(f32_, counter_);
-    case Prec::FP16:
-      if (!f16_) f16_ = std::make_shared<IluFactors<half>>(cast_factors<half>(*f64_));
-      return std::make_unique<IluApplyHandle<half, VT>>(f16_, counter_);
-  }
-  throw std::logic_error("BlockJacobiIlu0: bad storage precision");
-}
-
-std::unique_ptr<Preconditioner<double>> BlockJacobiIlu0::make_apply_fp64(Prec storage) {
-  return make_apply_impl<double>(storage);
-}
-std::unique_ptr<Preconditioner<float>> BlockJacobiIlu0::make_apply_fp32(Prec storage) {
-  return make_apply_impl<float>(storage);
-}
-std::unique_ptr<Preconditioner<half>> BlockJacobiIlu0::make_apply_fp16(Prec storage) {
-  return make_apply_impl<half>(storage);
+  set_factors(std::move(f));
 }
 
 }  // namespace nk

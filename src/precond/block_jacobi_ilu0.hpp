@@ -12,13 +12,13 @@
 // counted (`breakdowns()`).
 //
 // The factorization is computed once in fp64; fp32/fp16 value copies are
-// cast lazily ("construct in fp64, then cast"), and apply handles can mix
+// cast on first use through PrecCopies ("construct in fp64, then cast"),
+// sharing the fp64 factor's pattern, and apply handles can mix
 // any storage precision with any vector precision — arithmetic runs in the
 // wider of the two, per the paper's precision-promotion rule.
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "base/backend.hpp"
@@ -237,38 +237,6 @@ void ilu_solve_many(const IluFactors<P>& f, const VT* r, std::ptrdiff_t ldr, VT*
   }
 }
 
-class BlockJacobiIlu0 final : public PrimaryPrecond {
- public:
-  struct Config {
-    int nblocks = 0;     ///< 0 → one block per OpenMP thread
-    double alpha = 1.0;  ///< α_ILU diagonal boost during factorization
-  };
-
-  /// Factor the block-diagonal part of `a` (rows must be sorted).
-  BlockJacobiIlu0(const CsrMatrix<double>& a, Config cfg);
-
-  [[nodiscard]] std::string name() const override { return "bj-ilu0"; }
-  [[nodiscard]] index_t size() const override { return f64_->pat->n; }
-
-  std::unique_ptr<Preconditioner<double>> make_apply_fp64(Prec storage) override;
-  std::unique_ptr<Preconditioner<float>> make_apply_fp32(Prec storage) override;
-  std::unique_ptr<Preconditioner<half>> make_apply_fp16(Prec storage) override;
-
-  /// Zero pivots replaced during factorization.
-  [[nodiscard]] int breakdowns() const { return breakdowns_; }
-
-  [[nodiscard]] const IluFactors<double>& factors_fp64() const { return *f64_; }
-
- private:
-  template <class VT>
-  std::unique_ptr<Preconditioner<VT>> make_apply_impl(Prec storage);
-
-  std::shared_ptr<IluFactors<double>> f64_;
-  std::shared_ptr<IluFactors<float>> f32_;  // lazy
-  std::shared_ptr<IluFactors<half>> f16_;   // lazy
-  int breakdowns_ = 0;
-};
-
 /// Typed apply handle over shared factors; counts invocations.
 template <class SP, class VT>
 class IluApplyHandle final : public Preconditioner<VT> {
@@ -293,7 +261,33 @@ class IluApplyHandle final : public Preconditioner<VT> {
   std::shared_ptr<InvocationCounter> cnt_;
 };
 
+class BlockJacobiIlu0 final : public FactoredPrecond<IluFactors, IluApplyHandle> {
+ public:
+  struct Config {
+    int nblocks = 0;     ///< 0 → one block per OpenMP thread
+    double alpha = 1.0;  ///< α_ILU diagonal boost during factorization
+  };
+
+  /// Factor the block-diagonal part of `a` (rows must be sorted).
+  BlockJacobiIlu0(const CsrMatrix<double>& a, Config cfg);
+
+  [[nodiscard]] std::string name() const override { return "bj-ilu0"; }
+
+  /// Zero pivots replaced during factorization.
+  [[nodiscard]] int breakdowns() const { return breakdowns_; }
+
+ private:
+  int breakdowns_ = 0;
+};
+
 /// Compute balanced contiguous block boundaries (helper shared with IC(0)).
 std::vector<index_t> make_block_starts(index_t n, int nblocks);
+
+/// The rows of `a` restricted to their diagonal blocks (`nblocks` as in
+/// make_block_starts), as an ILU(0) pattern plus `a`'s values on it.  A
+/// diagonal missing from `a` is inserted with value 0.  Shared by the
+/// ILU(0) and SSOR setups.
+std::shared_ptr<IluPattern> block_restrict(const CsrMatrix<double>& a, int nblocks,
+                                           std::vector<double>& vals);
 
 }  // namespace nk

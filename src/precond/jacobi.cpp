@@ -5,7 +5,7 @@
 
 namespace nk {
 
-JacobiPrecond::JacobiPrecond(const CsrMatrix<double>& a) {
+JacobiPrecond::JacobiPrecond(const CsrMatrix<double>& a) : FactoredPrecond(a.nrows) {
   if (a.nrows != a.ncols) throw std::invalid_argument("JacobiPrecond: matrix must be square");
   auto f = std::make_shared<JacobiFactors<double>>();
   f->n = a.nrows;
@@ -13,32 +13,7 @@ JacobiPrecond::JacobiPrecond(const CsrMatrix<double>& a) {
   const std::vector<double> d = a.diagonal();
   for (index_t i = 0; i < a.nrows; ++i)
     f->inv_diag[i] = (d[i] != 0.0 && std::isfinite(d[i])) ? 1.0 / d[i] : 1.0;
-  f64_ = std::move(f);
-}
-
-template <class VT>
-std::unique_ptr<Preconditioner<VT>> JacobiPrecond::make_apply_impl(Prec storage) {
-  switch (storage) {
-    case Prec::FP64:
-      return std::make_unique<JacobiApplyHandle<double, VT>>(f64_, counter_);
-    case Prec::FP32:
-      if (!f32_) f32_ = std::make_shared<JacobiFactors<float>>(cast_factors<float>(*f64_));
-      return std::make_unique<JacobiApplyHandle<float, VT>>(f32_, counter_);
-    case Prec::FP16:
-      if (!f16_) f16_ = std::make_shared<JacobiFactors<half>>(cast_factors<half>(*f64_));
-      return std::make_unique<JacobiApplyHandle<half, VT>>(f16_, counter_);
-  }
-  throw std::logic_error("JacobiPrecond: bad storage precision");
-}
-
-std::unique_ptr<Preconditioner<double>> JacobiPrecond::make_apply_fp64(Prec storage) {
-  return make_apply_impl<double>(storage);
-}
-std::unique_ptr<Preconditioner<float>> JacobiPrecond::make_apply_fp32(Prec storage) {
-  return make_apply_impl<float>(storage);
-}
-std::unique_ptr<Preconditioner<half>> JacobiPrecond::make_apply_fp16(Prec storage) {
-  return make_apply_impl<half>(storage);
+  set_factors(std::move(f));
 }
 
 }  // namespace nk

@@ -25,26 +25,6 @@ JacobiFactors<Dst> cast_factors(const JacobiFactors<Src>& f) {
   return out;
 }
 
-class JacobiPrecond final : public PrimaryPrecond {
- public:
-  explicit JacobiPrecond(const CsrMatrix<double>& a);
-
-  [[nodiscard]] std::string name() const override { return "jacobi"; }
-  [[nodiscard]] index_t size() const override { return f64_->n; }
-
-  std::unique_ptr<Preconditioner<double>> make_apply_fp64(Prec storage) override;
-  std::unique_ptr<Preconditioner<float>> make_apply_fp32(Prec storage) override;
-  std::unique_ptr<Preconditioner<half>> make_apply_fp16(Prec storage) override;
-
- private:
-  template <class VT>
-  std::unique_ptr<Preconditioner<VT>> make_apply_impl(Prec storage);
-
-  std::shared_ptr<JacobiFactors<double>> f64_;
-  std::shared_ptr<JacobiFactors<float>> f32_;
-  std::shared_ptr<JacobiFactors<half>> f16_;
-};
-
 template <class SP, class VT>
 class JacobiApplyHandle final : public Preconditioner<VT> {
  public:
@@ -88,6 +68,13 @@ class JacobiApplyHandle final : public Preconditioner<VT> {
  private:
   std::shared_ptr<const JacobiFactors<SP>> f_;
   std::shared_ptr<InvocationCounter> cnt_;
+};
+
+class JacobiPrecond final : public FactoredPrecond<JacobiFactors, JacobiApplyHandle> {
+ public:
+  explicit JacobiPrecond(const CsrMatrix<double>& a);
+
+  [[nodiscard]] std::string name() const override { return "jacobi"; }
 };
 
 }  // namespace nk

@@ -5,7 +5,8 @@
 
 namespace nk {
 
-NeumannPrecond::NeumannPrecond(const CsrMatrix<double>& a, Config cfg) {
+NeumannPrecond::NeumannPrecond(const CsrMatrix<double>& a, Config cfg)
+    : FactoredPrecond(a.nrows) {
   if (a.nrows != a.ncols) throw std::invalid_argument("NeumannPrecond: matrix must be square");
   if (cfg.degree < 0) throw std::invalid_argument("NeumannPrecond: degree must be >= 0");
   auto f = std::make_shared<NeumannData<double>>();
@@ -16,32 +17,7 @@ NeumannPrecond::NeumannPrecond(const CsrMatrix<double>& a, Config cfg) {
   const auto d = a.diagonal();
   for (index_t i = 0; i < a.nrows; ++i)
     f->inv_diag[i] = (d[i] != 0.0 && std::isfinite(d[i])) ? 1.0 / d[i] : 1.0;
-  f64_ = std::move(f);
-}
-
-template <class VT>
-std::unique_ptr<Preconditioner<VT>> NeumannPrecond::make_apply_impl(Prec storage) {
-  switch (storage) {
-    case Prec::FP64:
-      return std::make_unique<NeumannApplyHandle<double, VT>>(f64_, counter_);
-    case Prec::FP32:
-      if (!f32_) f32_ = std::make_shared<NeumannData<float>>(cast_factors<float>(*f64_));
-      return std::make_unique<NeumannApplyHandle<float, VT>>(f32_, counter_);
-    case Prec::FP16:
-      if (!f16_) f16_ = std::make_shared<NeumannData<half>>(cast_factors<half>(*f64_));
-      return std::make_unique<NeumannApplyHandle<half, VT>>(f16_, counter_);
-  }
-  throw std::logic_error("NeumannPrecond: bad storage precision");
-}
-
-std::unique_ptr<Preconditioner<double>> NeumannPrecond::make_apply_fp64(Prec storage) {
-  return make_apply_impl<double>(storage);
-}
-std::unique_ptr<Preconditioner<float>> NeumannPrecond::make_apply_fp32(Prec storage) {
-  return make_apply_impl<float>(storage);
-}
-std::unique_ptr<Preconditioner<half>> NeumannPrecond::make_apply_fp16(Prec storage) {
-  return make_apply_impl<half>(storage);
+  set_factors(std::move(f));
 }
 
 }  // namespace nk

@@ -67,30 +67,6 @@ void neumann_apply(const NeumannData<P>& f, std::span<const VT> r, std::span<VT>
   }
 }
 
-class NeumannPrecond final : public PrimaryPrecond {
- public:
-  struct Config {
-    int degree = 2;  ///< number of SpMVs per application
-  };
-
-  NeumannPrecond(const CsrMatrix<double>& a, Config cfg);
-
-  [[nodiscard]] std::string name() const override { return "neumann"; }
-  [[nodiscard]] index_t size() const override { return f64_->n; }
-
-  std::unique_ptr<Preconditioner<double>> make_apply_fp64(Prec storage) override;
-  std::unique_ptr<Preconditioner<float>> make_apply_fp32(Prec storage) override;
-  std::unique_ptr<Preconditioner<half>> make_apply_fp16(Prec storage) override;
-
- private:
-  template <class VT>
-  std::unique_ptr<Preconditioner<VT>> make_apply_impl(Prec storage);
-
-  std::shared_ptr<NeumannData<double>> f64_;
-  std::shared_ptr<NeumannData<float>> f32_;
-  std::shared_ptr<NeumannData<half>> f16_;
-};
-
 template <class SP, class VT>
 class NeumannApplyHandle final : public Preconditioner<VT> {
  public:
@@ -108,6 +84,17 @@ class NeumannApplyHandle final : public Preconditioner<VT> {
   std::shared_ptr<const NeumannData<SP>> f_;
   std::shared_ptr<InvocationCounter> cnt_;
   std::vector<VT> tmp_;
+};
+
+class NeumannPrecond final : public FactoredPrecond<NeumannData, NeumannApplyHandle> {
+ public:
+  struct Config {
+    int degree = 2;  ///< number of SpMVs per application
+  };
+
+  NeumannPrecond(const CsrMatrix<double>& a, Config cfg);
+
+  [[nodiscard]] std::string name() const override { return "neumann"; }
 };
 
 }  // namespace nk

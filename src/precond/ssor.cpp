@@ -3,101 +3,20 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "precond/block_jacobi_ilu0.hpp"  // make_block_starts
-
 namespace nk {
 
-SsorPrecond::SsorPrecond(const CsrMatrix<double>& a, Config cfg) {
+SsorPrecond::SsorPrecond(const CsrMatrix<double>& a, Config cfg) : FactoredPrecond(a.nrows) {
   if (a.nrows != a.ncols) throw std::invalid_argument("SsorPrecond: matrix must be square");
   if (cfg.omega <= 0.0 || cfg.omega >= 2.0)
     throw std::invalid_argument("SsorPrecond: omega must be in (0, 2)");
   auto f = std::make_shared<SsorData<double>>();
-  f->n = a.nrows;
   f->omega = cfg.omega;
-  f->block_start = make_block_starts(a.nrows, cfg.nblocks);
-  const index_t nb = f->nblocks();
-  std::vector<index_t> owner(a.nrows);
-  for (index_t b = 0; b < nb; ++b)
-    for (index_t i = f->block_start[b]; i < f->block_start[b + 1]; ++i) owner[i] = b;
-
-  // Copy block-restricted rows, forcing a (unit if absent) diagonal entry,
-  // exactly as the ILU(0) setup does.
-  f->row_ptr.assign(a.nrows + 1, 0);
-#pragma omp parallel for schedule(static)
-  for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(a.nrows); ++i) {
-    const index_t b0 = f->block_start[owner[i]], b1 = f->block_start[owner[i] + 1];
-    index_t cnt = 0;
-    bool saw_diag = false;
-    for (index_t k = a.row_ptr[i]; k < a.row_ptr[i + 1]; ++k) {
-      const index_t c = a.col_idx[k];
-      if (c >= b0 && c < b1) {
-        ++cnt;
-        if (c == static_cast<index_t>(i)) saw_diag = true;
-      }
-    }
-    if (!saw_diag) ++cnt;
-    f->row_ptr[i + 1] = cnt;
+  f->pat = block_restrict(a, cfg.nblocks, f->vals);
+  for (const index_t p : f->pat->diag_pos) {
+    double& d = f->vals[p];
+    if (d == 0.0 || !std::isfinite(d)) d = 1.0;
   }
-  for (index_t i = 0; i < a.nrows; ++i) f->row_ptr[i + 1] += f->row_ptr[i];
-  f->col_idx.resize(f->row_ptr[a.nrows]);
-  f->vals.resize(f->row_ptr[a.nrows]);
-  f->diag_pos.resize(a.nrows);
-
-#pragma omp parallel for schedule(static)
-  for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(a.nrows); ++i) {
-    const index_t b0 = f->block_start[owner[i]], b1 = f->block_start[owner[i] + 1];
-    index_t p = f->row_ptr[i];
-    bool placed = false;
-    for (index_t k = a.row_ptr[i]; k < a.row_ptr[i + 1]; ++k) {
-      const index_t c = a.col_idx[k];
-      if (c < b0 || c >= b1) continue;
-      if (!placed && c > static_cast<index_t>(i)) {
-        f->col_idx[p] = static_cast<index_t>(i);
-        f->vals[p] = 1.0;
-        f->diag_pos[i] = p++;
-        placed = true;
-      }
-      f->col_idx[p] = c;
-      f->vals[p] = a.vals[k];
-      if (c == static_cast<index_t>(i)) {
-        f->diag_pos[i] = p;
-        placed = true;
-        if (f->vals[p] == 0.0 || !std::isfinite(f->vals[p])) f->vals[p] = 1.0;
-      }
-      ++p;
-    }
-    if (!placed) {
-      f->col_idx[p] = static_cast<index_t>(i);
-      f->vals[p] = 1.0;
-      f->diag_pos[i] = p;
-    }
-  }
-  f64_ = std::move(f);
-}
-
-template <class VT>
-std::unique_ptr<Preconditioner<VT>> SsorPrecond::make_apply_impl(Prec storage) {
-  switch (storage) {
-    case Prec::FP64:
-      return std::make_unique<SsorApplyHandle<double, VT>>(f64_, counter_);
-    case Prec::FP32:
-      if (!f32_) f32_ = std::make_shared<SsorData<float>>(cast_factors<float>(*f64_));
-      return std::make_unique<SsorApplyHandle<float, VT>>(f32_, counter_);
-    case Prec::FP16:
-      if (!f16_) f16_ = std::make_shared<SsorData<half>>(cast_factors<half>(*f64_));
-      return std::make_unique<SsorApplyHandle<half, VT>>(f16_, counter_);
-  }
-  throw std::logic_error("SsorPrecond: bad storage precision");
-}
-
-std::unique_ptr<Preconditioner<double>> SsorPrecond::make_apply_fp64(Prec storage) {
-  return make_apply_impl<double>(storage);
-}
-std::unique_ptr<Preconditioner<float>> SsorPrecond::make_apply_fp32(Prec storage) {
-  return make_apply_impl<float>(storage);
-}
-std::unique_ptr<Preconditioner<half>> SsorPrecond::make_apply_fp16(Prec storage) {
-  return make_apply_impl<half>(storage);
+  set_factors(std::move(f));
 }
 
 }  // namespace nk

@@ -14,36 +14,27 @@
 #include <vector>
 
 #include "base/backend.hpp"
+#include "precond/block_jacobi_ilu0.hpp"
 #include "precond/preconditioner.hpp"
 #include "sparse/csr.hpp"
 
 namespace nk {
 
-/// Block-restricted matrix data (rows sorted; diag position) at storage
-/// precision P, shared by the SSOR sweeps.
+/// SSOR data at storage precision P: A's block-restricted values over the
+/// ILU(0) pattern (block_restrict), a zero or non-finite diagonal replaced
+/// by 1.  One pattern is shared by the copies of every storage precision.
 template <class P>
 struct SsorData {
-  index_t n = 0;
+  std::shared_ptr<const IluPattern> pat;
   double omega = 1.0;
-  std::vector<index_t> block_start;
-  std::vector<index_t> row_ptr, col_idx, diag_pos;
   std::vector<P> vals;
-
-  [[nodiscard]] index_t nblocks() const {
-    return static_cast<index_t>(block_start.size()) - 1;
-  }
 };
 
+/// Cast values to another storage precision; the pattern is shared, not
+/// copied.
 template <class Dst, class Src>
 SsorData<Dst> cast_factors(const SsorData<Src>& f) {
-  SsorData<Dst> out;
-  out.n = f.n;
-  out.omega = f.omega;
-  out.block_start = f.block_start;
-  out.row_ptr = f.row_ptr;
-  out.col_idx = f.col_idx;
-  out.diag_pos = f.diag_pos;
-  out.vals.resize(f.vals.size());
+  SsorData<Dst> out{f.pat, f.omega, std::vector<Dst>(f.vals.size())};
   blas::convert<Src, Dst>(std::span<const Src>(f.vals), std::span<Dst>(out.vals));
   return out;
 }
@@ -54,60 +45,34 @@ SsorData<Dst> cast_factors(const SsorData<Src>& f) {
 template <class P, class VT, class W = promote_t<P, VT>>
 void ssor_solve(const SsorData<P>& f, std::span<const VT> r, std::span<VT> z,
                 Backend be = Backend::kHost) {
-  const index_t nb = f.nblocks();
+  const IluPattern& g = *f.pat;
+  const index_t nb = g.nblocks();
   const W om = static_cast<W>(f.omega);
   const bool par = be == Backend::kHost;
   (void)par;  // referenced only from the pragma; unused without OpenMP
 #pragma omp parallel for schedule(static) if (par)
   for (std::ptrdiff_t b = 0; b < static_cast<std::ptrdiff_t>(nb); ++b) {
-    const index_t b0 = f.block_start[b], b1 = f.block_start[b + 1];
+    const index_t b0 = g.block_start[b], b1 = g.block_start[b + 1];
     // Forward: (D/ω + L) y = r.
     for (index_t i = b0; i < b1; ++i) {
       W s = static_cast<W>(r[i]);
-      for (index_t p = f.row_ptr[i]; p < f.diag_pos[i]; ++p)
-        s -= static_cast<W>(f.vals[p]) * static_cast<W>(z[f.col_idx[p]]);
-      z[i] = static_cast<VT>(s * om / static_cast<W>(f.vals[f.diag_pos[i]]));
+      for (index_t p = g.row_ptr[i]; p < g.diag_pos[i]; ++p)
+        s -= static_cast<W>(f.vals[p]) * static_cast<W>(z[g.col_idx[p]]);
+      z[i] = static_cast<VT>(s * om / static_cast<W>(f.vals[g.diag_pos[i]]));
     }
     // Scale: y ← (D/ω) y · (2−ω)/ω → combined into the backward sweep rhs.
     for (index_t i = b0; i < b1; ++i)
-      z[i] = static_cast<VT>(static_cast<W>(z[i]) * static_cast<W>(f.vals[f.diag_pos[i]]) *
+      z[i] = static_cast<VT>(static_cast<W>(z[i]) * static_cast<W>(f.vals[g.diag_pos[i]]) *
                              (W{2} - om) / om);
     // Backward: (D/ω + U) z = y.
     for (index_t i = b1; i-- > b0;) {
       W s = static_cast<W>(z[i]);
-      for (index_t p = f.diag_pos[i] + 1; p < f.row_ptr[i + 1]; ++p)
-        s -= static_cast<W>(f.vals[p]) * static_cast<W>(z[f.col_idx[p]]);
-      z[i] = static_cast<VT>(s * om / static_cast<W>(f.vals[f.diag_pos[i]]));
+      for (index_t p = g.diag_pos[i] + 1; p < g.row_ptr[i + 1]; ++p)
+        s -= static_cast<W>(f.vals[p]) * static_cast<W>(z[g.col_idx[p]]);
+      z[i] = static_cast<VT>(s * om / static_cast<W>(f.vals[g.diag_pos[i]]));
     }
   }
 }
-
-class SsorPrecond final : public PrimaryPrecond {
- public:
-  struct Config {
-    int nblocks = 0;     ///< 0 → one block per OpenMP thread
-    double omega = 1.0;  ///< relaxation weight (1 = symmetric Gauss-Seidel)
-  };
-
-  SsorPrecond(const CsrMatrix<double>& a, Config cfg);
-
-  [[nodiscard]] std::string name() const override { return "ssor"; }
-  [[nodiscard]] index_t size() const override { return f64_->n; }
-
-  std::unique_ptr<Preconditioner<double>> make_apply_fp64(Prec storage) override;
-  std::unique_ptr<Preconditioner<float>> make_apply_fp32(Prec storage) override;
-  std::unique_ptr<Preconditioner<half>> make_apply_fp16(Prec storage) override;
-
-  [[nodiscard]] const SsorData<double>& data_fp64() const { return *f64_; }
-
- private:
-  template <class VT>
-  std::unique_ptr<Preconditioner<VT>> make_apply_impl(Prec storage);
-
-  std::shared_ptr<SsorData<double>> f64_;
-  std::shared_ptr<SsorData<float>> f32_;
-  std::shared_ptr<SsorData<half>> f16_;
-};
 
 template <class SP, class VT>
 class SsorApplyHandle final : public Preconditioner<VT> {
@@ -119,11 +84,23 @@ class SsorApplyHandle final : public Preconditioner<VT> {
     ++cnt_->count;
     ssor_solve(*f_, r, z, this->backend());
   }
-  [[nodiscard]] index_t size() const override { return f_->n; }
+  [[nodiscard]] index_t size() const override { return f_->pat->n; }
 
  private:
   std::shared_ptr<const SsorData<SP>> f_;
   std::shared_ptr<InvocationCounter> cnt_;
+};
+
+class SsorPrecond final : public FactoredPrecond<SsorData, SsorApplyHandle> {
+ public:
+  struct Config {
+    int nblocks = 0;     ///< 0 → one block per OpenMP thread
+    double omega = 1.0;  ///< relaxation weight (1 = symmetric Gauss-Seidel)
+  };
+
+  SsorPrecond(const CsrMatrix<double>& a, Config cfg);
+
+  [[nodiscard]] std::string name() const override { return "ssor"; }
 };
 
 }  // namespace nk

@@ -145,24 +145,29 @@ void residual(const CsrMatrix<MT>& a, std::span<const XT> x, std::span<const BT>
 }
 
 /// ‖b - A x‖₂ / ‖b‖₂ computed entirely in fp64 — the paper's convergence
-/// criterion, evaluated at the outermost level only.
+/// criterion, evaluated at the outermost level only.  The two sums run in
+/// row order per thread and combine in thread order (blas::detail::
+/// partial_sums), so one thread count gives one result.
 template <class MT, class XT>
 double relative_residual(const CsrMatrix<MT>& a, std::span<const XT> x,
                          std::span<const double> b) {
-  const std::ptrdiff_t n = a.nrows;
-  const std::ptrdiff_t work = a.nnz();
   const index_t* __restrict rp = a.row_ptr.data();
   const index_t* __restrict ci = a.col_idx.data();
   const MT* __restrict v = a.vals.data();
-  double rr = 0.0, bb = 0.0;
-#pragma omp parallel for schedule(static) reduction(+ : rr, bb) if (work > blas::parallel_threshold())
-  for (std::ptrdiff_t i = 0; i < n; ++i) {
-    double s = b[i];
-    for (index_t k = rp[i]; k < rp[i + 1]; ++k)
-      s -= static_cast<double>(v[k]) * static_cast<double>(x[ci[k]]);
-    rr += s * s;
-    bb += b[i] * b[i];
-  }
+  double acc[2] = {};  // ‖b − Ax‖², ‖b‖²
+  blas::detail::partial_sums(a.nrows, 2, a.nnz() > blas::parallel_threshold(), acc,
+                             [&](std::ptrdiff_t i0, std::ptrdiff_t i1, double* part) {
+                               double rr = part[0], bb = part[1];
+                               for (std::ptrdiff_t i = i0; i < i1; ++i) {
+                                 double s = b[i];
+                                 for (index_t k = rp[i]; k < rp[i + 1]; ++k)
+                                   s -= static_cast<double>(v[k]) * static_cast<double>(x[ci[k]]);
+                                 rr += s * s;
+                                 bb += b[i] * b[i];
+                               }
+                               part[0] = rr, part[1] = bb;
+                             });
+  const double rr = acc[0], bb = acc[1];
   return bb == 0.0 ? std::sqrt(rr) : std::sqrt(rr / bb);
 }
 

@@ -5,7 +5,6 @@
 #include <string>
 
 #include "base/env.hpp"
-#include "base/simd_fp16.hpp"
 
 namespace nk {
 namespace {
@@ -28,27 +27,11 @@ TEST(Env, SummaryReportsOpenmpAndBuildFields) {
   const std::string s = env_summary();
   EXPECT_NE(s.find("openmp="), std::string::npos);
   EXPECT_NE(s.find("build="), std::string::npos);
-  EXPECT_NE(s.find("avx512fp16="), std::string::npos);
-}
-
-TEST(Env, Avx512Fp16FieldTellsTheTruth) {
-  // Truth-in-reporting: the field must track the actual kernel dispatch
-  // state, not bare CPUID.  "dispatch" iff the native kernels will really
-  // run; "compiled" iff present but gated off; "no" otherwise.
-  const std::string s = env_summary();
-  const char* want = simd_fp16::enabled()      ? "avx512fp16=dispatch"
-                     : simd_fp16::compiled()   ? "avx512fp16=compiled"
-                                               : "avx512fp16=no";
-  EXPECT_NE(s.find(want), std::string::npos) << s;
-  EXPECT_EQ(avx512fp16_dispatched(), simd_fp16::enabled());
-  EXPECT_EQ(has_avx512fp16_kernels(), simd_fp16::compiled());
 }
 
 TEST(Env, Fp16KernelsFieldNamesTheActiveImplementation) {
   const std::string s = env_summary();
-  const char* want = simd_fp16::enabled() ? "fp16-kernels=avx512fp16"
-                     : has_f16c()         ? "fp16-kernels=f16c"
-                                          : "fp16-kernels=scalar";
+  const char* want = has_f16c() ? "fp16-kernels=f16c" : "fp16-kernels=scalar";
   EXPECT_NE(s.find(want), std::string::npos) << s;
 }
 
@@ -142,8 +125,8 @@ TEST(EnvChecked, FlagParsesTheDocumentedSpellings) {
 }
 
 TEST(EnvChecked, FlagFallsBackOnGarbage) {
-  // Garbage used to silently count as truthy at the flag sites (e.g.
-  // NKRYLOV_AVX512FP16); now it keeps the site's default.
+  // Garbage used to silently count as truthy at the flag sites; now it
+  // keeps the site's default.
   EnvVarGuard g("NKRYLOV_TEST_FLAG");
   for (const char* v : {"2", "ON", "tru", "enabled", ""}) {
     g.set(v);

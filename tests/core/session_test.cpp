@@ -8,6 +8,8 @@
 
 #include <condition_variable>
 #include <cstdlib>
+#include <functional>
+#include <latch>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -16,6 +18,7 @@
 #include <omp.h>
 #endif
 
+#include "base/rng.hpp"
 #include "core/f3r.hpp"
 #include "core/session.hpp"
 #include "krylov/cg.hpp"
@@ -325,6 +328,78 @@ TEST(Session, ConcurrentSolveFailsFastNotCorrupts) {
   // The slot is released: the Session is fully usable again.
   const SolveResult after = s.solve();
   EXPECT_TRUE(after.converged) << summarize(after);
+}
+
+// Two Sessions on one shared PreparedProblem (what two nkrylovd executor
+// workers do for two specs on one handle) build their first fp32
+// operators at the same moment, and two handles of one shared M mint its
+// fp16 copy at the same moment.  Every result must equal, bit for bit, the
+// same work done one call after another.  The forced-team re-run of this
+// suite puts these cases in the CI TSan job, which reports any
+// unsynchronised minting as a race.
+template <class Fn>
+void run_pair(bool concurrent, Fn&& first, Fn&& second) {
+  if (!concurrent) {
+    first();
+    second();
+    return;
+  }
+  std::latch start(2);
+  std::thread t([&] {
+    start.arrive_and_wait();
+    first();
+  });
+  start.arrive_and_wait();
+  second();
+  t.join();
+}
+
+TEST(SharedProblemMint, ConcurrentSessionsMatchSequentialSolves) {
+  const auto solve_both = [](bool concurrent) {
+    const auto p = std::make_shared<const PreparedProblem>(sym_problem());
+    std::vector<std::vector<double>> x(2, std::vector<double>(p->b.size(), 0.0));
+    std::vector<SolveResult> res(2);
+    const auto job = [&](int i, const char* spec) {
+      return std::function<void()>([&, i, spec] {
+        Session s(p, SolverSpec::parse(spec));
+        res[i] = s.solve(p->b, x[i]);
+      });
+    };
+    run_pair(concurrent, job(0, "f3r@fp16"), job(1, "ir-gmres@fp32"));
+    return std::pair(x, res);
+  };
+  const auto [xs, seq] = solve_both(false);
+  const auto [xc, con] = solve_both(true);
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_TRUE(seq[i].converged) << summarize(seq[i]);
+    EXPECT_EQ(con[i].iterations, seq[i].iterations);
+    EXPECT_EQ(con[i].final_relres, seq[i].final_relres);
+    EXPECT_EQ(xc[i], xs[i]) << "column " << i;
+  }
+}
+
+TEST(SharedProblemMint, ConcurrentHandlesOfOneSharedM) {
+  const auto p = sym_problem();
+  const auto r = random_vector<double>(p.b.size(), 3, -1.0, 1.0);
+  const auto apply_both = [&](bool concurrent) {
+    auto m = registry().make_precond(parse_precond_spec("bj;nblocks=2"), p);
+    std::unique_ptr<Preconditioner<float>> hf;
+    std::unique_ptr<Preconditioner<half>> hh;
+    run_pair(concurrent,
+             std::function<void()>([&] { hf = m->make_apply<float>(Prec::FP16); }),
+             std::function<void()>([&] { hh = m->make_apply<half>(Prec::FP16); }));
+    const auto rf = converted<float>(r);
+    const auto rh = converted<half>(r);
+    std::vector<float> zf(r.size());
+    std::vector<half> zh(r.size());
+    hf->apply(std::span<const float>(rf), std::span<float>(zf));
+    hh->apply(std::span<const half>(rh), std::span<half>(zh));
+    return std::pair(zf, converted<double>(zh));
+  };
+  const auto [fs, hs] = apply_both(false);
+  const auto [fc, hc] = apply_both(true);
+  EXPECT_EQ(fc, fs);
+  EXPECT_EQ(hc, hs);
 }
 
 TEST(Session, ThrowsSpecErrorOnUnknownKinds) {

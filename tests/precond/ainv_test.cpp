@@ -61,7 +61,7 @@ TEST(Ainv, ApplyCostsExactlyTwoSpmvEquivalents) {
   // bounded by the max_fill cap.
   auto a = test::scaled_laplace2d(12, 12);
   SdAinv m(a, {.drop_tol = 0.1, .max_fill = 5, .symmetric = true});
-  const auto& f = m.factors_fp64();
+  const auto& f = m.factors<double>();
   EXPECT_EQ(f.n, a.nrows);
   EXPECT_LE(f.wt.nnz(), a.nrows * 6);  // ≤ max_fill+1 per column
   EXPECT_LE(f.z.nnz(), a.nrows * 6);
@@ -71,7 +71,7 @@ TEST(Ainv, ApplyCostsExactlyTwoSpmvEquivalents) {
 TEST(Ainv, SymmetricModeSharesFactors) {
   auto a = test::scaled_laplace2d(8, 8);
   SdAinv m(a, {.drop_tol = 0.05, .max_fill = 8, .symmetric = true});
-  const auto& f = m.factors_fp64();
+  const auto& f = m.factors<double>();
   // W = Z → Wᵀ must equal Zᵀ: compare via transpose(z).
   const auto zt = transpose(f.z);
   ASSERT_EQ(zt.nnz(), f.wt.nnz());

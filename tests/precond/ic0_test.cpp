@@ -47,7 +47,7 @@ TEST(Ic0, FactorsReproduceMatrixOnPattern) {
   // On the tridiagonal pattern L Lᵀ must equal A entrywise.
   const auto a = spd_tridiag(10, 3.0);
   BlockJacobiIc0 m(a, {.nblocks = 1, .alpha = 1.0});
-  const auto& f = m.factors_fp64();
+  const auto& f = m.factors<double>();
   // Reconstruct (L Lᵀ)_{ij} for stored lower entries and the diagonal.
   auto lentry = [&](index_t i, index_t j) {
     for (index_t p = f.pat->l_row_ptr[i]; p < f.pat->l_row_ptr[i + 1]; ++p)
@@ -150,7 +150,7 @@ TEST(Ic0, RejectsNonSquare) {
 template <class P, class VT>
 void check_ic_solve_against_long_double(const CsrMatrix<double>& a, int nblocks) {
   BlockJacobiIc0 m(a, {.nblocks = nblocks, .alpha = 1.0});
-  const auto f = cast_factors<P>(m.factors_fp64());
+  const auto& f = m.factors<P>();
   const auto rd = random_vector<double>(a.nrows, 14, -1.0, 1.0);
   std::vector<VT> r(rd.size()), z(rd.size());
   for (std::size_t i = 0; i < rd.size(); ++i) r[i] = static_cast<VT>(rd[i]);

@@ -8,7 +8,12 @@
 #include <vector>
 
 #include "base/rng.hpp"
+#include "precond/ainv.hpp"
+#include "precond/block_jacobi_ic0.hpp"
 #include "precond/block_jacobi_ilu0.hpp"
+#include "precond/jacobi.hpp"
+#include "precond/neumann.hpp"
+#include "precond/ssor.hpp"
 #include "sparse/gen/random_matrix.hpp"
 #include "sparse/gen/stencil.hpp"
 #include "sparse/spmv.hpp"
@@ -176,6 +181,55 @@ TEST(Ilu0, InvocationCounterSharedAcrossHandles) {
   EXPECT_EQ(m.invocations(), 0u);
 }
 
+/// Mints handles of every vector precision over storage P, twice over, and
+/// checks that factors<P>() names one copy throughout: the ladder casts
+/// each storage copy once, however many handles draw on it.
+template <class P, class M>
+void check_ladder_rung(M& m) {
+  const auto mint_all = [&m] {
+    for (int rep = 0; rep < 2; ++rep) {
+      EXPECT_EQ(m.template make_apply<double>(prec_of<P>())->size(), m.size());
+      EXPECT_EQ(m.template make_apply<float>(prec_of<P>())->size(), m.size());
+      EXPECT_EQ(m.template make_apply<half>(prec_of<P>())->size(), m.size());
+    }
+  };
+  mint_all();
+  const auto* first = &m.template factors<P>();
+  mint_all();
+  EXPECT_EQ(&m.template factors<P>(), first) << m.name() << " @ " << prec_name(prec_of<P>());
+}
+
+template <class M>
+void check_ladder(M& m) {
+  check_ladder_rung<double>(m);
+  check_ladder_rung<float>(m);
+  check_ladder_rung<half>(m);
+}
+
+TEST(PrecLadder, EveryPrimaryMintsEachStorageCopyOnce) {
+  const auto a = test::scaled_hpcg(3);
+  BlockJacobiIlu0 ilu(a, {.nblocks = 3, .alpha = 1.0});
+  BlockJacobiIc0 ic(a, {.nblocks = 3, .alpha = 1.0});
+  SsorPrecond ssor(a, {.nblocks = 3, .omega = 1.2});
+  JacobiPrecond jac(a);
+  NeumannPrecond neu(a, {.degree = 2});
+  SdAinv ainv(a, {.symmetric = true});
+  check_ladder(ilu);
+  check_ladder(ic);
+  check_ladder(ssor);
+  check_ladder(jac);
+  check_ladder(neu);
+  check_ladder(ainv);
+
+  // The fp32/fp16 copies of the pattern-based factors are values only.
+  EXPECT_EQ(ilu.factors<float>().pat, ilu.factors<double>().pat);
+  EXPECT_EQ(ilu.factors<half>().pat, ilu.factors<double>().pat);
+  EXPECT_EQ(ic.factors<float>().pat, ic.factors<double>().pat);
+  EXPECT_EQ(ic.factors<half>().pat, ic.factors<double>().pat);
+  EXPECT_EQ(ssor.factors<float>().pat, ssor.factors<double>().pat);
+  EXPECT_EQ(ssor.factors<half>().pat, ssor.factors<double>().pat);
+}
+
 TEST(Ilu0, RejectsNonSquare) {
   CsrMatrix<double> a(2, 3);
   a.row_ptr = {0, 0, 0};
@@ -198,7 +252,7 @@ TEST(Ilu0, Fp16VectorApplyStaysFinite) {
 template <class P, class VT>
 void check_ilu_solve_against_long_double(const CsrMatrix<double>& a, int nblocks) {
   BlockJacobiIlu0 m(a, {.nblocks = nblocks, .alpha = 1.0});
-  const auto f = cast_factors<P>(m.factors_fp64());
+  const auto& f = m.factors<P>();
   const auto rd = random_vector<double>(a.nrows, 12, -1.0, 1.0);
   std::vector<VT> r(rd.size()), z(rd.size());
   for (std::size_t i = 0; i < rd.size(); ++i) r[i] = static_cast<VT>(rd[i]);
@@ -248,7 +302,7 @@ TEST(Ilu0, SolveMatchesLongDoubleSubstitution) {
 template <class P, class VT>
 void check_solve_many_bitwise(const CsrMatrix<double>& a) {
   BlockJacobiIlu0 m(a, {.nblocks = 3, .alpha = 1.0});
-  const auto f = cast_factors<P>(m.factors_fp64());
+  const auto& f = m.factors<P>();
   const auto n = static_cast<std::size_t>(a.nrows);
   for (const int k : {1, 3, 8, 16}) {
     const auto rd = random_vector<double>(n * static_cast<std::size_t>(k), 13, -1.0, 1.0);

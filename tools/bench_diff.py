@@ -24,8 +24,7 @@ from the fresh run but present in the baseline (or vice versa) means a
 kernel was renamed or dropped without updating this gate or the committed
 JSON — that is reported as one line naming the record, and the script
 exits 2.  A record absent from BOTH files is a feature-conditional kernel
-(e.g. the AVX-512 FP16 natives on a machine without the ISA) and its pair
-is skipped.
+(one a machine without the feature cannot run) and its pair is skipped.
 
 Usage:  tools/bench_diff.py <fresh.json> <baseline.json> [--tolerance 0.25]
         tools/bench_diff.py --self-test
@@ -45,8 +44,9 @@ RATIO_PAIRS = [
 ]
 PRECISIONS = ["fp64", "fp32", "fp16"]
 
-# Records of deleted code paths: the interleaved-panel dot_cols and the
-# lockstep batched FGMRES (FgmresSolver's former batched entry point).  A
+# Records of deleted code paths: the interleaved-panel dot_cols, the
+# lockstep batched FGMRES (FgmresSolver's former batched entry point), and
+# the opt-in native AVX-512 FP16 scal/axpy/dot (no end-to-end gain).  A
 # report still carrying one predates the deletion: exit 2 like a
 # rename/drop, so a stale baseline is refreshed rather than silently
 # half-compared.
@@ -55,16 +55,9 @@ RETIRED_FGMRES_STAGGERED = [
     "fgmres_staggered16_compact_hpcg",
     "fgmres_staggered16_speedup",
 ]
-RETIRED_RECORDS = [f"dot_cols_cm_{p}_k8" for p in PRECISIONS] + RETIRED_FGMRES_STAGGERED
-
-# Native AVX-512 FP16 kernels vs the blas:: dispatch path (F16C unless the
-# env opts the natives in).  Absent from both files on machines without the
-# ISA, hence skipped there rather than required.
-FP16_PAIRS = [
-    ("scal_fp16_avx512fp16", "scal_fp16"),
-    ("axpy_fp16_avx512fp16", "axpy_fp16"),
-    ("dot_fp16_avx512fp16", "dot_fp16"),
-]
+RETIRED_AVX512FP16 = [f"{k}_fp16_avx512fp16" for k in ("scal", "axpy", "dot")]
+RETIRED_RECORDS = ([f"dot_cols_cm_{p}_k8" for p in PRECISIONS] + RETIRED_FGMRES_STAGGERED
+                   + RETIRED_AVX512FP16)
 
 # Backend-tagged kernel records: the serial reference backend's cost over
 # the host backend's, for the same kern::Kernels call.  The ratio mostly
@@ -161,7 +154,7 @@ def gated_pairs(tolerance):
     backend = [(f.format(p=p), r.format(p=p))
                for f, r in BACKEND_PAIRS for p in BACKEND_PRECISIONS]
     pairs = [(f, r, 2.0 * tolerance, "seconds")
-             for f, r in micro + FP16_PAIRS + DAEMON_PAIRS + backend]
+             for f, r in micro + DAEMON_PAIRS + backend]
     pairs += [(f, r, tolerance, "seconds") for f, r in SPMM_PAIRS + SOLVE_PAIRS]
     pairs += [(f.format(p=p), r.format(p=p), 2.0 * tolerance, "gbps")
               for f, r in BANDWIDTH_PAIRS for p in PRECISIONS]
@@ -375,12 +368,17 @@ def self_test():
     expect("soft backend records absent from baseline skip",
            diff(synthetic(), pre_seam, 0.25), 0)
 
+    # Likewise the native AVX-512 FP16 kernels.
+    fp16_era = synthetic()
+    for name in RETIRED_AVX512FP16:
+        fp16_era[name] = {"name": name, "seconds": 0.25, "gbps": 4.0}
+    expect("retired avx512fp16 records in the baseline exit 2",
+           diff(synthetic(), fp16_era, 0.25), 2)
+
     both = synthetic()
-    conditional = [f for f, _r in FP16_PAIRS]
-    for name in conditional:
-        del both[name]
-    expect("feature-conditional records absent from both sides skip",
-           diff(both, dict(both), 0.25), 0)
+    fused, ref, _tol, _metric = gated_pairs(0.25)[0]
+    del both[fused], both[ref]
+    expect("records absent from both sides skip", diff(both, dict(both), 0.25), 0)
 
     return 0 if ok else 1
 
