@@ -36,10 +36,6 @@
 #include <utility>
 #include <vector>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include "base/blas1.hpp"
 #include "base/blas_block.hpp"
 #include "base/options.hpp"
@@ -535,56 +531,22 @@ void bench_batched_solve(bench::JsonReport& rep, std::int64_t n_target) {
   rep.add("solve_cg_batched_8rhs_speedup", static_cast<std::int64_t>(n), nnz, t_bat,
           t_seq / t_bat);  // gbps column doubles as the speedup ratio
 
-  // Per-column agreement between the two paths.  Identical kernels per
-  // column ⇒ identical iterates; allow ulp-level slack only for the
-  // multi-threaded reductions.
+  // Per-column agreement between the two paths: the sequential solves are
+  // the batched loop at width 1, whose column kernels sum in the same order
+  // at any thread count, so the iterates must agree to the bit.
   int iters_bat = 0;
-  double dmax = 0.0, xscale = 0.0;
+  double dmax = 0.0;
   for (int c = 0; c < k; ++c) {
     iters_bat += many[c].iterations;
     if (!many[c].converged) check("batched_cg_bat_converged", 1.0, 0.0);
-    for (std::size_t i = 0; i < n; ++i) {
-      dmax = std::max(dmax, std::abs(Xb[static_cast<std::size_t>(c) * n + i] -
-                                     Xs[static_cast<std::size_t>(c) * n + i]));
-      xscale = std::max(xscale, std::abs(Xs[static_cast<std::size_t>(c) * n + i]));
-    }
   }
-  // Single-threaded the two paths are bit-identical; with parallel blas1
-  // reductions each path rounds differently, and two independently
-  // converged solutions only agree to convergence level.
-  check("batched_cg_column_agreement", dmax,
-        (num_threads() == 1 ? 0.0 : 1e-5 * std::max(1.0, xscale)));
-  check("batched_cg_iteration_agreement", std::abs(iters_bat - iters_seq),
-        num_threads() == 1 ? 0.0 : std::max(2.0 * k, 0.05 * iters_seq));
+  for (std::size_t i = 0; i < n * k; ++i) dmax = std::max(dmax, std::abs(Xb[i] - Xs[i]));
+  check("batched_cg_column_agreement", dmax, 0.0);
+  check("batched_cg_iteration_agreement", std::abs(iters_bat - iters_seq), 0.0);
 
   std::cout << "batched CG 8 RHS (n=" << n << ", bj-ilu0): sequential " << t_seq
             << " s vs batched " << t_bat << " s  (" << t_seq / t_bat << "x, "
             << iters_seq << "/" << iters_bat << " iters)\n";
-
-  // Guarded batched run: the per-iteration non-finite panel scan switched
-  // on.  The ISSUE 7 acceptance gate pins its overhead against the
-  // unguarded record above (bench_diff.py GUARD_PAIRS, <= 2%).
-  std::vector<double> Xg(n * k, 0.0);
-  CsrOperator<double, double> op_g(a);
-  auto h_g = ilu.make_apply<double>(Prec::FP64);
-  CgSolver<double>::Config cfg_g = cfg;
-  cfg_g.guard_panels = true;
-  CgSolver<double> gua(op_g, *h_g, cfg_g);
-  WallTimer tg;
-  auto many_g = gua.solve_many(B.data(), static_cast<std::ptrdiff_t>(n), Xg.data(),
-                               static_cast<std::ptrdiff_t>(n), k);
-  const double t_gua = tg.seconds();
-  rep.add("solve_cg_batched_8rhs_guard_laplace", static_cast<std::int64_t>(n), nnz, t_gua,
-          0.0);
-  rep.add("solve_cg_guard_overhead", static_cast<std::int64_t>(n), nnz, t_gua,
-          t_gua / t_bat);  // gbps column doubles as the overhead ratio
-  int guard_failures = 0;
-  for (int c = 0; c < k; ++c)
-    if (many_g[c].status != SolveStatus::kConverged) ++guard_failures;
-  check("batched_cg_guard_converged", static_cast<double>(guard_failures), 0.0);
-
-  std::cout << "guarded batched CG 8 RHS: " << t_gua << " s  (" << t_gua / t_bat
-            << "x of unguarded)\n";
 }
 
 // ---------------------------------------------------------------------------
@@ -602,18 +564,6 @@ void bench_batched_solve(bench::JsonReport& rep, std::int64_t n_target) {
 // retire.  The 27-point stencil makes the benchmark apply-dominated — the
 // regime batching targets.
 // ---------------------------------------------------------------------------
-
-/// Pins the OpenMP team to one thread for its scope (a no-op without
-/// OpenMP).  The sequential solvers' blas1 reductions reproduce the batched
-/// column reductions bit-for-bit only single-threaded, so the staggered
-/// bench runs its bit-identity gate inside one and times outside it.
-struct SingleThreadScope {
-#ifdef _OPENMP
-  int saved = omp_get_max_threads();
-  SingleThreadScope() { omp_set_num_threads(1); }
-  ~SingleThreadScope() { omp_set_num_threads(saved); }
-#endif
-};
 
 /// RHS spanning s (p,p,p) modes of the (scaled) 27-point operator, spread
 /// across the spectrum (well-separated eigenvalues keep finite-precision
@@ -684,15 +634,11 @@ void bench_staggered_cg(bench::JsonReport& rep, index_t side) {
   };
 
   // Gate: per-column fp64 iterates of the batched solver must be
-  // bit-identical to the sequential solver's (compaction moves data
-  // verbatim and reorders nothing).
+  // bit-identical to the sequential (width-1) solves' at any thread count
+  // (compaction moves data verbatim and reorders nothing).
   std::vector<double> Xs(n * k), Xc(n * k);
-  std::vector<SolveResult> res_s, res_c;
-  {
-    SingleThreadScope one;
-    res_s = solve_seq(Xs);
-    res_c = solve_batched(Xc);
-  }
+  const std::vector<SolveResult> res_s = solve_seq(Xs);
+  const std::vector<SolveResult> res_c = solve_batched(Xc);
   int it_lo = res_c[0].iterations, it_hi = it_lo;
   for (int c = 0; c < k; ++c) {
     check("staggered_cg_iters_col" + std::to_string(c),

@@ -23,11 +23,6 @@
 // base/backend.hpp, and extend the branches here.  Kernels absent from a
 // backend can fall back to staging through an existing one explicitly —
 // never silently.
-//
-// The scan-only guards (blas::has_nonfinite / first_nonfinite_col) are
-// backend-neutral by construction (exact element reads, no reductions, no
-// SIMD dispatch) and are exposed here unconditionally so callers stay
-// implementation-free.
 #pragma once
 
 #include <cstddef>
@@ -163,19 +158,6 @@ class Kernels {
                   std::ptrdiff_t ldy, int k, std::size_t n) const {
     if (be_ == Backend::kSerial) nk::serial::axpby_cols(alpha, x, ldx, beta, yp, ldy, k, n);
     else blas::axpby_cols(alpha, x, ldx, beta, yp, ldy, k, n);
-  }
-
-  // ---- non-finite guards (backend-neutral scans) -------------------------
-
-  template <class T>
-  [[nodiscard]] bool has_nonfinite(std::span<const T> x) const {
-    return blas::has_nonfinite(x);
-  }
-
-  template <class T>
-  [[nodiscard]] int first_nonfinite_col(const T* p, std::ptrdiff_t ld, int k,
-                                        std::size_t n) const {
-    return blas::first_nonfinite_col(p, ld, k, n);
   }
 
   // ---- sparse products ---------------------------------------------------

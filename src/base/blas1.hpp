@@ -58,7 +58,7 @@ constexpr int greedy_group(int remaining, int max_tier) {
 namespace detail {
 
 /// The one parallel summation order of the host reductions (dot, nrm2,
-/// dot_many, relative_residual): [0, n4) splits into one contiguous chunk
+/// dot_many, dot_cols, relative_residual): [0, n4) splits into one contiguous chunk
 /// per team thread, ceil(n4/nt) rounded up to a multiple of 4 (so the fp16
 /// four-way unroll stays aligned), `body(i0, i1, part)` accumulates
 /// `lanes` partial sums over its chunk, and the per-thread partials are

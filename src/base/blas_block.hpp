@@ -240,11 +240,13 @@ void axpy_many(const TV* v, std::ptrdiff_t ld, int k, const S* h, std::span<TW> 
 // A batched solver advances k independent right-hand sides in lockstep
 // through k-column panels, column c contiguous at x + c·ld.  The kernels
 // below fuse the k per-column BLAS-1 calls of one solver step into a
-// single parallel region.  Element-local kernels (axpy_cols / axpby_cols)
-// are bit-identical to the per-column blas1 calls they replace at any
-// thread count; dot_cols reproduces the SERIAL blas::dot accumulation
-// order per column exactly (each column is reduced by one thread), which
-// is the deterministic contract the conformance tests pin.
+// single parallel region, and per column they are bit-identical to the
+// blas1 call they replace at every thread count: the element-local
+// updates (axpy_cols / axpby_cols) trivially, and the reductions
+// (dot_cols / nrm2_cols) because each column is summed in blas::dot's
+// order — detail::partial_sums over the same chunks, forking under the
+// same `n > parallel_threshold()` predicate.  A width-1 update panel
+// calls the blas1 kernel itself, at its speed.
 // ---------------------------------------------------------------------------
 
 /// Column-group width of the reduction kernels' stack accumulators; wider
@@ -253,92 +255,110 @@ inline constexpr int kColsMax = 16;
 
 namespace block_detail {
 
-/// Interleaved multi-column dot core: per column c the accumulation order
-/// over i is exactly single-threaded blas::dot's (single chain on the
-/// general path, the four-way unroll on the fp16 path); the column loop is
-/// innermost so the k independent chains advance together — the reduction
-/// becomes throughput-bound instead of latency-bound.  Deliberately
-/// serial: determinism of the batched path must not depend on the OpenMP
-/// team, and the reduction is a small slice of a batched solver step.
+/// Interleaved multi-column dot over [i0, i1), accumulating into part:
+/// part[c] on the general path, the four lanes part[4c..4c+3] on the fp16
+/// path.  Per column the i-order — a single chain, or blas::dot's four-way
+/// unroll (lane = i mod 4; i0 and i1 are multiples of 4 there) — is
+/// exactly blas::dot's chunk body; the column loop runs innermost so the k
+/// independent chains advance together and the reduction becomes
+/// throughput-bound instead of latency-bound.
 template <class TX, class TY, class W, int KC>
-inline void dot_cols_group(const TX* __restrict x, std::ptrdiff_t ldx,
+inline void dot_cols_range(const TX* __restrict x, std::ptrdiff_t ldx,
                            const TY* __restrict y, std::ptrdiff_t ldy, int k_dyn,
-                           std::ptrdiff_t nn, W* __restrict out) {
+                           std::ptrdiff_t i0, std::ptrdiff_t i1, W* __restrict part) {
   const int k = KC > 0 ? KC : k_dyn;
   if constexpr (sizeof(TX) == 2 || sizeof(TY) == 2) {
     // fp16 operands: converting inside the arithmetic loop scalarizes into
     // a serial vcvtsh2ss chain under GCC 12 (~1 GB/s), so each column is
-    // tile-converted through the vectorized F16C helpers first and
-    // accumulated on the converted chunks.  half→float conversion is
-    // value-exact and kTile is a multiple of 4, so the four-lane chain
-    // each column's elements land in (lane = global i mod 4, tail to lane
-    // 0) — and hence the result bits — are exactly blas::dot's.
+    // tile-converted through the vectorized F16C helpers first (value-
+    // exact) and accumulated on the converted chunks.
     W xb[kTile], yb[kTile];
     for (int c = 0; c < k; ++c) {
       const TX* __restrict xc = x + static_cast<std::ptrdiff_t>(c) * ldx;
       const TY* __restrict yc = y + static_cast<std::ptrdiff_t>(c) * ldy;
-      W a0{}, a1{}, a2{}, a3{};
-      for (std::ptrdiff_t t0 = 0; t0 < nn; t0 += kTile) {
-        const std::ptrdiff_t len = std::min(t0 + kTile, nn) - t0;
+      W a0 = part[4 * c], a1 = part[4 * c + 1], a2 = part[4 * c + 2], a3 = part[4 * c + 3];
+      for (std::ptrdiff_t t0 = i0; t0 < i1; t0 += kTile) {
+        const std::ptrdiff_t len = std::min(t0 + kTile, i1) - t0;
         const W* __restrict xv = to_acc_chunk(xc + t0, xb, len);
         const W* __restrict yv = to_acc_chunk(yc + t0, yb, len);
-        std::ptrdiff_t i = 0;
-        for (; i + 4 <= len; i += 4) {
+        for (std::ptrdiff_t i = 0; i < len; i += 4) {
           a0 += xv[i] * yv[i];
           a1 += xv[i + 1] * yv[i + 1];
           a2 += xv[i + 2] * yv[i + 2];
           a3 += xv[i + 3] * yv[i + 3];
         }
-        for (; i < len; ++i) a0 += xv[i] * yv[i];  // only the final tile is ragged
       }
-      out[c] = (a0 + a1) + (a2 + a3);
+      part[4 * c] = a0, part[4 * c + 1] = a1, part[4 * c + 2] = a2, part[4 * c + 3] = a3;
     }
   } else {
-    W acc[kColsMax] = {};
-    for (std::ptrdiff_t i = 0; i < nn; ++i)
+    W acc[kColsMax];
+    for (int c = 0; c < k; ++c) acc[c] = part[c];
+    for (std::ptrdiff_t i = i0; i < i1; ++i)
       for (int c = 0; c < k; ++c)
         acc[c] += static_cast<W>(x[c * ldx + i]) * static_cast<W>(y[c * ldy + i]);
-    for (int c = 0; c < k; ++c) out[c] = acc[c];
+    for (int c = 0; c < k; ++c) part[c] = acc[c];
   }
 }
 
 }  // namespace block_detail
 
 /// out[c] = Σ_i x_c[i]·y_c[i] for c in [0, k).  Per column bit-identical
-/// to SINGLE-THREADED blas::dot (including the four-way fp16 unroll) at
-/// any k: only the schedule across columns differs.  Greedy 16/8/4 groups
-/// with the sub-4 tails also pinned (1/2/3), so every width — including
-/// the odd post-compaction widths a staggered batch produces — runs fully
-/// unrolled; group decomposition never changes per-column results.
+/// to blas::dot (including the four-way fp16 unroll and its tail) at every
+/// thread count: only the schedule across columns differs.  Greedy 16/8/4
+/// groups with the sub-4 tails also pinned (1/2/3), so every width —
+/// including the odd post-compaction widths a staggered batch produces —
+/// runs fully unrolled; group decomposition never changes per-column
+/// results.
 template <class TX, class TY>
 void dot_cols(const TX* x, std::ptrdiff_t ldx, const TY* y, std::ptrdiff_t ldy, int k,
               std::size_t n, acc_t<promote_t<TX, TY>>* out) {
   using W = acc_t<promote_t<TX, TY>>;
+  constexpr bool half_path = sizeof(TX) == 2 || sizeof(TY) == 2;
+  constexpr int lanes = half_path ? 4 : 1;
   const std::ptrdiff_t nn = static_cast<std::ptrdiff_t>(n);
+  const std::ptrdiff_t n4 = half_path ? nn - nn % 4 : nn;
+  const bool par = nn > parallel_threshold();  // blas::dot's predicate
   for (int c0 = 0; c0 < k;) {
     const int kc = greedy_group(k - c0, kColsMax);
     const TX* xg = x + static_cast<std::ptrdiff_t>(c0) * ldx;
     const TY* yg = y + static_cast<std::ptrdiff_t>(c0) * ldy;
-    W* og = out + c0;
+    W acc[kColsMax * lanes] = {};
+    auto sweep = [&]<int KC>() {
+      detail::partial_sums(n4, kc * lanes, par, acc,
+                           [&](std::ptrdiff_t i0, std::ptrdiff_t i1, W* part) {
+                             block_detail::dot_cols_range<TX, TY, W, KC>(xg, ldx, yg, ldy,
+                                                                         kc, i0, i1, part);
+                           });
+    };
     switch (kc) {
-      case 1: block_detail::dot_cols_group<TX, TY, W, 1>(xg, ldx, yg, ldy, kc, nn, og); break;
-      case 2: block_detail::dot_cols_group<TX, TY, W, 2>(xg, ldx, yg, ldy, kc, nn, og); break;
-      case 3: block_detail::dot_cols_group<TX, TY, W, 3>(xg, ldx, yg, ldy, kc, nn, og); break;
-      case 4: block_detail::dot_cols_group<TX, TY, W, 4>(xg, ldx, yg, ldy, kc, nn, og); break;
-      case 8: block_detail::dot_cols_group<TX, TY, W, 8>(xg, ldx, yg, ldy, kc, nn, og); break;
-      case kColsMax:
-        block_detail::dot_cols_group<TX, TY, W, kColsMax>(xg, ldx, yg, ldy, kc, nn, og);
-        break;
-      default: block_detail::dot_cols_group<TX, TY, W, 0>(xg, ldx, yg, ldy, kc, nn, og); break;
+      case 1: sweep.template operator()<1>(); break;
+      case 2: sweep.template operator()<2>(); break;
+      case 3: sweep.template operator()<3>(); break;
+      case 4: sweep.template operator()<4>(); break;
+      case 8: sweep.template operator()<8>(); break;
+      case kColsMax: sweep.template operator()<kColsMax>(); break;
+      default: sweep.template operator()<0>(); break;
+    }
+    for (int c = 0; c < kc; ++c) {
+      if constexpr (half_path) {
+        const TX* xc = xg + static_cast<std::ptrdiff_t>(c) * ldx;
+        const TY* yc = yg + static_cast<std::ptrdiff_t>(c) * ldy;
+        W s0 = acc[4 * c];
+        for (std::ptrdiff_t i = n4; i < nn; ++i)
+          s0 += static_cast<W>(xc[i]) * static_cast<W>(yc[i]);
+        out[c0 + c] = (s0 + acc[4 * c + 1]) + (acc[4 * c + 2] + acc[4 * c + 3]);
+      } else {
+        out[c0 + c] = acc[c];
+      }
     }
     c0 += kc;
   }
 }
 
 /// out[c] = ‖x_c‖₂ for c in [0, k): per column bit-identical to
-/// single-threaded blas::nrm2 — the sum of squares goes through dot_cols'
-/// interleaved sweep (x·x is nrm2's accumulation exactly, lane grouping
-/// included), followed by the same double-rounded sqrt store.
+/// blas::nrm2 — the sum of squares goes through dot_cols (x·x is nrm2's
+/// accumulation exactly, lane grouping included), followed by the same
+/// double-rounded sqrt store.
 template <class T>
 void nrm2_cols(const T* x, std::ptrdiff_t ldx, int k, std::size_t n, acc_t<T>* out) {
   using W = acc_t<T>;
@@ -356,6 +376,11 @@ template <class TX, class TY, class S>
 void axpy_cols(const S* alpha, const TX* x, std::ptrdiff_t ldx, TY* yp,
                std::ptrdiff_t ldy, int k, std::size_t n, const int* ymap = nullptr) {
   using W = promote_t<promote_t<TX, TY>, S>;
+  if (k == 1) {  // a width-1 panel is one blas::axpy, at its speed
+    axpy(alpha[0], std::span<const TX>(x, n),
+         std::span<TY>(yp + (ymap != nullptr ? ymap[0] : 0) * ldy, n));
+    return;
+  }
   const std::ptrdiff_t len = static_cast<std::ptrdiff_t>(n);
 #pragma omp parallel for schedule(static) if (static_cast<std::ptrdiff_t>(k) * len > parallel_threshold())
   for (std::ptrdiff_t t0 = 0; t0 < len; t0 += block_detail::kTile) {
@@ -390,6 +415,10 @@ template <class TX, class TY, class S>
 void axpby_cols(const S* alpha, const TX* x, std::ptrdiff_t ldx, const S* beta, TY* yp,
                 std::ptrdiff_t ldy, int k, std::size_t n) {
   using W = promote_t<promote_t<TX, TY>, S>;
+  if (k == 1) {
+    axpby(alpha[0], std::span<const TX>(x, n), beta[0], std::span<TY>(yp, n));
+    return;
+  }
   const std::ptrdiff_t len = static_cast<std::ptrdiff_t>(n);
 #pragma omp parallel for schedule(static) if (static_cast<std::ptrdiff_t>(k) * len > parallel_threshold())
   for (std::ptrdiff_t t0 = 0; t0 < len; t0 += block_detail::kTile) {
@@ -438,14 +467,12 @@ void scal_copy(S alpha, std::span<const TX> x, std::span<TY> y) {
 // ---------------------------------------------------------------------------
 // Non-finite guards — the resilience layer's cheap detection primitives.
 //
-// A NaN/Inf anywhere in a Krylov panel poisons every later iterate of its
-// column, so the batched solvers scan (a) residual NORMS every iteration —
-// free, the norm is already computed and a NaN input makes it NaN — and
-// (b) incoming panels at wave boundaries via the scans below.  The scans
-// are branch-light single passes (x − x == 0 is false exactly for NaN and
-// ±Inf, and vectorizes; fp16 tests the exponent bits directly), orders of
-// magnitude cheaper than one SpMV, and make no arithmetic change to any
-// solver path: they only READ.
+// A NaN/Inf anywhere in a Krylov vector poisons every later iterate, so
+// the solvers check the residual NORM every iteration — free, the norm is
+// already computed and a NaN input makes it NaN.  Inputs from outside
+// (Session's right-hand side) are scanned once with has_nonfinite below: a
+// branch-light single pass (x − x == 0 is false exactly for NaN and ±Inf,
+// and vectorizes; fp16 tests the exponent bits directly) that only READS.
 // ---------------------------------------------------------------------------
 
 namespace block_detail {
@@ -477,17 +504,6 @@ template <class T>
     if (bad != 0) return true;
   }
   return false;
-}
-
-/// Panel variant: scan columns [0, k) of a panel (column c at p + c·ld).
-/// Returns the index of the first column containing a non-finite value, or
-/// -1 when the whole panel is finite.
-template <class T>
-[[nodiscard]] int first_nonfinite_col(const T* p, std::ptrdiff_t ld, int k, std::size_t n) {
-  for (int c = 0; c < k; ++c)
-    if (has_nonfinite(std::span<const T>(p + static_cast<std::ptrdiff_t>(c) * ld, n)))
-      return c;
-  return -1;
 }
 
 }  // namespace nk::blas

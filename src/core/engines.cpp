@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "backend/kernels.hpp"
 #include "base/backend.hpp"
@@ -61,8 +62,8 @@ Backend ws_backend(const SolverWorkspace* ws) {
   return ws != nullptr ? ws->backend() : Backend::kHost;
 }
 
-/// Shared tail of the batched flat-solver paths: per-column true
-/// residuals, batch-total counters, and naming.
+/// Tail of every flat-solver solve (a single-RHS solve is a batch of
+/// width 1): per-column true residuals, batch-total counters, and naming.
 void finalize_many(std::vector<SolveResult>& res, const PreparedProblem& p,
                    std::span<const double> B, std::span<const double> X,
                    const std::string& name, double rtol, double seconds,
@@ -87,7 +88,8 @@ void finalize_many(std::vector<SolveResult>& res, const PreparedProblem& p,
 // ------------------------------------------------------------------ flat
 
 /// CG / BiCGStab over fp64 vectors with a `storage`-precision M handle;
-/// batched solve_many with active-set compaction and ragged waves.
+/// batched solve_many with active-set compaction and ragged waves, and a
+/// single-RHS solve that is the batch of width 1.
 template <class Solver>
 class FlatKrylovEngine final : public SolverEngine {
  public:
@@ -102,19 +104,7 @@ class FlatKrylovEngine final : public SolverEngine {
   }
 
   SolveResult solve(std::span<const double> b, std::span<double> x) override {
-    const Backend be = ws_backend(ws_);
-    auto handle = m_->make_apply<double>(eff_storage(spec_));
-    handle->set_backend(be);
-    // Honor the prepared problem's storage format (CSR or SELL).
-    auto op = p_->a->make_operator<double>(Prec::FP64, be);
-    Solver solver(*op, *handle, config(), ws_);
-    auto res = timed_solve(*m_, name(), [&] { return solver.solve(b, x); });
-    res.final_relres = kern::Kernels(be).relative_residual(
-        p_->a->csr_fp64(), std::span<const double>(x.data(), x.size()), b);
-    if (res.converged && !(res.final_relres < spec_.rtol * 1.5))
-      res.fail(SolveStatus::kDiverged, "true-residual");
-    res.spmv_count = op->spmv_count();
-    return res;
+    return std::move(solve_many(b, x, 1)[0]);
   }
 
   std::vector<SolveResult> solve_many(std::span<const double> B, std::span<double> X,
@@ -122,6 +112,7 @@ class FlatKrylovEngine final : public SolverEngine {
     const Backend be = ws_backend(ws_);
     auto handle = m_->make_apply<double>(eff_storage(spec_));
     handle->set_backend(be);
+    // Honor the prepared problem's storage format (CSR or SELL).
     auto op = p_->a->make_operator<double>(Prec::FP64, be);
     Solver solver(*op, *handle, config(), ws_);
     const std::ptrdiff_t n = static_cast<std::ptrdiff_t>(p_->b.size());

@@ -6,121 +6,14 @@
 
 namespace nk {
 
-template <class VT>
-SolveResult BiCgStabSolver<VT>::solve(std::span<const VT> b, std::span<VT> x) {
-  using S = acc_t<VT>;
-  SolveResult res;
-  res.solver = "bicgstab";
-  const auto n = b.size();
-  std::span<VT> r(r_), rhat(rhat_), p(p_), v(v_), s(s_), t(t_), phat(phat_), shat(shat_);
-
-  const double bnorm = static_cast<double>(kx_.nrm2(b));
-  const double bref = bnorm > 0.0 ? bnorm : 1.0;
-  const double target = cfg_.rtol * bref;
-
-  a_->residual(b, std::span<const VT>(x.data(), n), r);
-  kx_.copy(std::span<const VT>(r_), rhat);
-  double rnorm = static_cast<double>(kx_.nrm2(std::span<const VT>(r_)));
-  if (cfg_.record_history) res.history.push_back(rnorm / bref);
-  if (!std::isfinite(bnorm) || !std::isfinite(rnorm)) {
-    res.fail(SolveStatus::kNonFinite, !std::isfinite(bnorm) ? "b" : "rnorm");
-    return res;
-  }
-  if (rnorm <= target) {
-    res.mark_converged();
-    return res;
-  }
-  StagnationGuard stag{rnorm};
-
-  S rho{1}, alpha{1}, omega{1};
-  kx_.set_zero(p);
-  kx_.set_zero(v);
-
-  for (int it = 1; it <= cfg_.max_iters; ++it) {
-    res.iterations = it;
-    const S rho_new = kx_.dot(std::span<const VT>(rhat_), std::span<const VT>(r_));
-    if (!std::isfinite(static_cast<double>(rho_new)) || rho_new == S{0}) {
-      res.fail(std::isfinite(static_cast<double>(rho_new)) ? SolveStatus::kBreakdown
-                                                           : SolveStatus::kNonFinite,
-               "rho");
-      return res;
-    }
-    if (it == 1) {
-      kx_.copy(std::span<const VT>(r_), p);
-    } else {
-      const S beta = (rho_new / rho) * (alpha / omega);
-      // p = r + beta (p - omega v)
-      kx_.axpy(-omega, std::span<const VT>(v_), p);
-      kx_.axpby(S{1}, std::span<const VT>(r_), beta, p);
-    }
-    rho = rho_new;
-
-    m_->apply(std::span<const VT>(p_), phat);
-    a_->apply(std::span<const VT>(phat_), v);
-    const S rhat_v = kx_.dot(std::span<const VT>(rhat_), std::span<const VT>(v_));
-    if (!std::isfinite(static_cast<double>(rhat_v)) || rhat_v == S{0}) {
-      res.fail(std::isfinite(static_cast<double>(rhat_v)) ? SolveStatus::kBreakdown
-                                                          : SolveStatus::kNonFinite,
-               "rhat_v");
-      return res;
-    }
-    alpha = rho / rhat_v;
-
-    // s = r - alpha v
-    kx_.copy(std::span<const VT>(r_), s);
-    kx_.axpy(-alpha, std::span<const VT>(v_), s);
-    const double snorm = static_cast<double>(kx_.nrm2(std::span<const VT>(s_)));
-    if (snorm <= target) {
-      kx_.axpy(alpha, std::span<const VT>(phat_), x);
-      if (cfg_.record_history) res.history.push_back(snorm / bref);
-      res.mark_converged();
-      return res;
-    }
-
-    m_->apply(std::span<const VT>(s_), shat);
-    a_->apply(std::span<const VT>(shat_), t);
-    const S tt = kx_.dot(std::span<const VT>(t_), std::span<const VT>(t_));
-    if (!std::isfinite(static_cast<double>(tt)) || tt == S{0}) {
-      res.fail(std::isfinite(static_cast<double>(tt)) ? SolveStatus::kBreakdown
-                                                      : SolveStatus::kNonFinite,
-               "tt");
-      return res;
-    }
-    omega = kx_.dot(std::span<const VT>(t_), std::span<const VT>(s_)) / tt;
-
-    kx_.axpy(alpha, std::span<const VT>(phat_), x);
-    kx_.axpy(omega, std::span<const VT>(shat_), x);
-
-    // r = s - omega t
-    kx_.copy(std::span<const VT>(s_), r);
-    kx_.axpy(-omega, std::span<const VT>(t_), r);
-
-    rnorm = static_cast<double>(kx_.nrm2(std::span<const VT>(r_)));
-    if (cfg_.record_history) res.history.push_back(rnorm / bref);
-    if (!std::isfinite(rnorm)) {
-      res.fail(SolveStatus::kNonFinite, "rnorm");
-      return res;
-    }
-    if (rnorm <= target) {
-      res.mark_converged();
-      return res;
-    }
-    if (omega == S{0}) {  // stagnation breakdown
-      res.fail(SolveStatus::kBreakdown, "omega");
-      return res;
-    }
-    if (stag.stalled(res, rnorm, cfg_.stagnate_window, "rnorm")) return res;
-  }
-  return res;
-}
-
-// Batched BiCGStab with active-set compaction (see CgSolver::solve_many
-// for the scheme): survivors occupy the leading `na` columns of the eight
-// panels, `map[j]` scatters x updates back to original caller columns, and
-// every kernel — the four applications per iteration included — runs at
-// the current width.  Retirement swap-removes a slot (data moves verbatim,
-// so iterates stay bit-identical to solve()); with 0 < wave < k pending
-// right-hand sides refill freed slots at iteration boundaries.
+// BiCGStab with active-set compaction — the one BiCGStab loop (see
+// CgSolver::solve_many for the scheme): survivors occupy the leading `na`
+// columns of the eight panels, `map[j]` scatters x updates back to
+// original caller columns, and every kernel — the four applications per
+// iteration included — runs at the current width.  Retirement swap-removes
+// a slot (data moves verbatim, so iterates stay bit-identical to the
+// width-1 solve); with 0 < wave < k pending right-hand sides refill freed
+// slots at iteration boundaries.
 template <class VT>
 std::vector<SolveResult> BiCgStabSolver<VT>::solve_many(const VT* b, std::ptrdiff_t ldb,
                                                         VT* x, std::ptrdiff_t ldx, int k,
@@ -173,8 +66,8 @@ std::vector<SolveResult> BiCgStabSolver<VT>::solve_many(const VT* b, std::ptrdif
   int na = 0;    // live width
   int next = 0;  // head of the pending column queue
 
-  // Initialize original column c into slot j — solve()'s exact preamble
-  // sequence.  Returns false when the column converges at iteration 0.
+  // Initialize original column c into slot j.  Returns false when the
+  // column finishes at iteration 0 and never occupies the slot.
   auto init_slot = [&](int j, int c) -> bool {
     map[j] = c;
     itc[j] = 0;
@@ -275,8 +168,8 @@ std::vector<SolveResult> BiCgStabSolver<VT>::solve_many(const VT* b, std::ptrdif
       ++j;
     }
     if (na == 0) continue;
-    // p_j = r_j + beta_j (p_j − omega_j v_j); then p = r for fresh slots,
-    // the copy solve() makes at iteration 1.
+    // p_j = r_j + beta_j (p_j − omega_j v_j); then p = r for fresh slots
+    // (iteration 1).
     kx_.axpy_cols(sc0.data(), V.data(), nld, P.data(), nld, na, n_);
     for (int j = 0; j < na; ++j) sc0[j] = S{1};
     kx_.axpby_cols(sc0.data(), R.data(), nld, sc1.data(), P.data(), nld, na, n_);
@@ -338,7 +231,7 @@ std::vector<SolveResult> BiCgStabSolver<VT>::solve_many(const VT* b, std::ptrdif
     }
     if (na == 0) continue;
     // x_{map[j]} += alpha_j phat_j + omega_j shat_j (two chained scattered
-    // updates, as in solve()); then r_j = s_j − omega_j t_j.
+    // updates); then r_j = s_j − omega_j t_j.
     kx_.axpy_cols(alpha.data(), PH.data(), nld, x, ldx, na, n_, map.data());
     kx_.axpy_cols(omega.data(), SH.data(), nld, x, ldx, na, n_, map.data());
     for (int j = 0; j < na; ++j) copy_col(Sv, R, j);
@@ -374,6 +267,5 @@ std::vector<SolveResult> BiCgStabSolver<VT>::solve_many(const VT* b, std::ptrdif
 }
 
 template class BiCgStabSolver<double>;
-template class BiCgStabSolver<float>;
 
 }  // namespace nk

@@ -3,27 +3,20 @@
 // twice and the operator twice, which is why Table 3 reports invocation
 // counts rather than iteration counts for cross-solver comparability.
 //
-// Lifecycle mirrors CgSolver: setup(a, m) binds a system and acquires the
-// eight working vectors from a SolverWorkspace; solve()/solve_many() then
-// run with zero per-call allocation.  solve_many() advances k right-hand
-// sides in lockstep — the two operator and two preconditioner applications
-// per iteration each stream the matrix/factors once for the whole batch,
-// and the six reductions run column-interleaved — reproducing solve()'s
-// per-column operations bit-for-bit whenever the blas1 reductions are
-// deterministic (single-threaded / below the parallel threshold), and to
-// rounding level otherwise.
-//
-// Like CgSolver, the batched path runs active-set compaction with a
-// ragged-wave scheduler (see cg.hpp for the scheme): survivors are
-// compacted into the leading panel columns so every kernel runs at the
-// current width, retiring columns hand their slots to pending right-hand
-// sides, and an active→original map scatters x updates to caller columns.
-// Compaction moves data verbatim — iterates remain bit-identical.
+// Structure mirrors CgSolver: one iteration loop, solve_many(), advances k
+// right-hand sides in lockstep — the two operator and two preconditioner
+// applications per iteration each stream the matrix/factors once for the
+// whole batch, and the six reductions run column-interleaved — with
+// active-set compaction and ragged waves (see cg.hpp for the scheme).
+// solve(b, x) is that loop at width 1, and a batched column reproduces it
+// bit-for-bit at every thread count.  setup(a, m) binds a system; the
+// panels come from a SolverWorkspace, so solves allocate nothing.
 #pragma once
 
 #include <cstddef>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "backend/kernels.hpp"
@@ -47,7 +40,7 @@ class BiCgStabSolver {
     int stagnate_window = 0;
   };
 
-  /// Deferred-setup construction (no allocation until setup()).
+  /// Deferred-setup construction (no allocation until the first solve).
   explicit BiCgStabSolver(Config cfg, SolverWorkspace* ws = nullptr,
                           std::string key = "bicgstab")
       : cfg_(cfg), ws_(ws), key_(std::move(key)) {}
@@ -59,29 +52,24 @@ class BiCgStabSolver {
     setup(a, m);
   }
 
-  // Buffer spans point into own_ (or the shared workspace); a copy would
-  // alias them.
+  // Panels live in own_ (or the shared workspace) under key_; a copy would
+  // share them.
   BiCgStabSolver(const BiCgStabSolver&) = delete;
   BiCgStabSolver& operator=(const BiCgStabSolver&) = delete;
 
-  /// Bind a system; acquires (or reuses) the workspace vectors.
+  /// Bind a system.
   void setup(Operator<VT>& a, Preconditioner<VT>& m) {
     a_ = &a;
     m_ = &m;
     n_ = static_cast<std::size_t>(a.size());
-    SolverWorkspace& w = wsref();
-    kx_ = kern::Kernels(w.backend());
-    r_ = w.get<VT>(key_ + ".r", n_);
-    rhat_ = w.get<VT>(key_ + ".rhat", n_);
-    p_ = w.get<VT>(key_ + ".p", n_);
-    v_ = w.get<VT>(key_ + ".v", n_);
-    s_ = w.get<VT>(key_ + ".s", n_);
-    t_ = w.get<VT>(key_ + ".t", n_);
-    phat_ = w.get<VT>(key_ + ".phat", n_);
-    shat_ = w.get<VT>(key_ + ".shat", n_);
+    kx_ = kern::Kernels(wsref().backend());
   }
 
-  SolveResult solve(std::span<const VT> b, std::span<VT> x);
+  /// Solve A x = b from the given initial guess — solve_many() at width 1.
+  SolveResult solve(std::span<const VT> b, std::span<VT> x) {
+    const auto ld = static_cast<std::ptrdiff_t>(n_);
+    return std::move(solve_many(b.data(), ld, x.data(), ld, 1)[0]);
+  }
 
   /// Batched solve: k systems in lockstep (column c of B/X at b + c·ldb /
   /// x + c·ldx).  Per column bit-identical to solve().  `wave` > 0 caps
@@ -90,7 +78,6 @@ class BiCgStabSolver {
                                       std::ptrdiff_t ldx, int k, int wave = 0);
 
  private:
-
   [[nodiscard]] SolverWorkspace& wsref() { return ws_ != nullptr ? *ws_ : own_; }
 
   Operator<VT>* a_ = nullptr;
@@ -101,7 +88,6 @@ class BiCgStabSolver {
   SolverWorkspace own_;
   std::string key_;
   kern::Kernels kx_;
-  std::span<VT> r_, rhat_, p_, v_, s_, t_, phat_, shat_;
 };
 
 }  // namespace nk

@@ -6,78 +6,13 @@
 
 namespace nk {
 
-template <class VT>
-SolveResult CgSolver<VT>::solve(std::span<const VT> b, std::span<VT> x) {
-  SolveResult res;
-  res.solver = "cg";
-  const auto n = b.size();
-  std::span<VT> r(r_), z(z_), p(p_), q(q_);
-
-  const double bnorm = static_cast<double>(kx_.nrm2(b));
-  const double target = cfg_.rtol * (bnorm > 0.0 ? bnorm : 1.0);
-
-  a_->residual(b, std::span<const VT>(x.data(), n), r);
-  double rnorm = static_cast<double>(kx_.nrm2(std::span<const VT>(r_)));
-  if (cfg_.record_history) res.history.push_back(rnorm / (bnorm > 0.0 ? bnorm : 1.0));
-  if (!std::isfinite(bnorm) || !std::isfinite(rnorm)) {
-    res.fail(SolveStatus::kNonFinite, "rnorm");
-    return res;
-  }
-  if (rnorm <= target) {
-    res.mark_converged();
-    return res;
-  }
-  StagnationGuard stag{rnorm};
-
-  m_->apply(std::span<const VT>(r_), z);
-  kx_.copy(std::span<const VT>(z_), p);
-  auto rz = kx_.dot(std::span<const VT>(r_), std::span<const VT>(z_));
-
-  for (int it = 1; it <= cfg_.max_iters; ++it) {
-    a_->apply(std::span<const VT>(p_), q);
-    const auto pq = kx_.dot(std::span<const VT>(p_), std::span<const VT>(q_));
-    if (!(std::abs(static_cast<double>(pq)) > 0.0) ||
-        !std::isfinite(static_cast<double>(pq))) {
-      res.iterations = it;
-      res.fail(std::isfinite(static_cast<double>(pq)) ? SolveStatus::kBreakdown
-                                                      : SolveStatus::kNonFinite,
-               "pivot");
-      return res;  // breakdown (matrix not SPD w.r.t. p)
-    }
-    const auto alpha = rz / pq;
-    kx_.axpy(alpha, std::span<const VT>(p_), x);
-    kx_.axpy(-alpha, std::span<const VT>(q_), r);
-
-    rnorm = static_cast<double>(kx_.nrm2(std::span<const VT>(r_)));
-    if (cfg_.record_history) res.history.push_back(rnorm / (bnorm > 0.0 ? bnorm : 1.0));
-    res.iterations = it;
-    if (!std::isfinite(rnorm)) {
-      res.fail(SolveStatus::kNonFinite, "rnorm");
-      return res;
-    }
-    if (rnorm <= target) {
-      res.mark_converged();
-      return res;
-    }
-    if (stag.stalled(res, rnorm, cfg_.stagnate_window, "rnorm")) return res;
-
-    m_->apply(std::span<const VT>(r_), z);
-    const auto rz_new = kx_.dot(std::span<const VT>(r_), std::span<const VT>(z_));
-    const auto beta = rz_new / rz;
-    rz = rz_new;
-    kx_.axpby(static_cast<decltype(rz)>(1), std::span<const VT>(z_),
-                static_cast<decltype(rz)>(beta), p);
-  }
-  return res;
-}
-
-// Batched CG with active-set compaction.  Survivor columns live in the
-// leading `na` columns of the R/Z/P/Q panels; `map[j]` names the original
-// column slot j is solving, and retirement swap-removes the slot (column
-// data moves verbatim, so per-column arithmetic — and therefore every
-// iterate — is solve()'s to the bit).  Every kernel runs at width `na`,
-// falling through the compile-time k = 4/8/16 dispatch tiers as the set
-// shrinks.  With 0 < wave < k the same loop becomes the ragged-batch
+// CG with active-set compaction — the one CG loop.  Survivor columns live
+// in the leading `na` columns of the R/Z/P/Q panels; `map[j]` names the
+// original column slot j is solving, and retirement swap-removes the slot
+// (column data moves verbatim, so per-column arithmetic — and therefore
+// every iterate — is the width-1 solve's to the bit).  Every kernel runs
+// at width `na`, falling through the compile-time k = 4/8/16 dispatch
+// tiers as the set shrinks.  With 0 < wave < k the same loop becomes the ragged-batch
 // scheduler: at most `wave` columns are in flight, and pending columns
 // are initialized into freed slots at iteration boundaries.
 template <class VT>
@@ -121,10 +56,9 @@ std::vector<SolveResult> CgSolver<VT>::solve_many(const VT* b, std::ptrdiff_t ld
   int na = 0;    // live width
   int next = 0;  // head of the pending column queue
 
-  // Initialize original column c into slot j — the exact operation sequence
-  // of solve()'s preamble (nrm2_cols/dot_cols at width 1 are bit-identical
-  // to the single-threaded blas1 reductions solve() runs).  Returns false
-  // when the column finishes at iteration 0 and never occupies the slot.
+  // Initialize original column c into slot j (the width-1 column kernels
+  // are the blas1 reductions themselves).  Returns false when the column
+  // finishes at iteration 0 and never occupies the slot.
   auto init_slot = [&](int j, int c) -> bool {
     map[j] = c;
     itc[j] = 0;
@@ -183,8 +117,8 @@ std::vector<SolveResult> CgSolver<VT>::solve_many(const VT* b, std::ptrdiff_t ld
 
   refill();
   while (na > 0 || next < k) {
-    // Iteration boundary: drop columns whose budget is exhausted (exactly
-    // where solve()'s loop falls through) and top the wave back up.
+    // Iteration boundary: drop columns whose budget is exhausted and top
+    // the wave back up.
     for (int j = 0; j < na;) {
       if (itc[j] >= cfg_.max_iters) {
         move_slot(j, --na);
@@ -202,7 +136,7 @@ std::vector<SolveResult> CgSolver<VT>::solve_many(const VT* b, std::ptrdiff_t ld
       const S pq = red[j];
       if (!(std::abs(static_cast<double>(pq)) > 0.0) ||
           !std::isfinite(static_cast<double>(pq))) {
-        res[map[j]].iterations = it;  // breakdown: retire where solve() returns
+        res[map[j]].iterations = it;  // breakdown (A not SPD w.r.t. p)
         res[map[j]].fail(std::isfinite(static_cast<double>(pq))
                              ? SolveStatus::kBreakdown
                              : SolveStatus::kNonFinite,
@@ -221,18 +155,13 @@ std::vector<SolveResult> CgSolver<VT>::solve_many(const VT* b, std::ptrdiff_t ld
     kx_.axpy_cols(alpha.data(), P.data(), nld, x, ldx, na, n_, map.data());
     kx_.axpy_cols(nalpha.data(), Q.data(), nld, R.data(), nld, na, n_);
     kx_.nrm2_cols(R.data(), nld, na, n_, red.data());
-    // Belt-and-braces panel guard (benched; see Config::guard_panels).  The
-    // rnorm check below already retires every poisoned column — a NaN/Inf
-    // anywhere in r makes its norm non-finite — so the scan only sharpens
-    // the failure site attribution; its cost is what the bench gate pins.
-    const int badc = cfg_.guard_panels ? kx_.first_nonfinite_col(R.data(), nld, na, n_) : -1;
     for (int j = 0; j < na;) {
       const int c = map[j];
       const double rnorm = static_cast<double>(red[j]);
       if (cfg_.record_history) res[c].history.push_back(rnorm / bref[j]);
       res[c].iterations = itc[j];
       if (!std::isfinite(rnorm)) {
-        res[c].fail(SolveStatus::kNonFinite, j == badc ? "panel" : "rnorm");
+        res[c].fail(SolveStatus::kNonFinite, "rnorm");
         move_slot(j, --na);
         continue;
       }
@@ -250,7 +179,7 @@ std::vector<SolveResult> CgSolver<VT>::solve_many(const VT* b, std::ptrdiff_t ld
     if (na == 0) continue;
 
     // The trailing preconditioner apply and direction update run even on a
-    // column's final iteration, exactly as solve()'s loop body does.
+    // column's final iteration.
     m_->apply_many(R.data(), nld, Z.data(), nld, na);
     kx_.dot_cols(R.data(), nld, Z.data(), nld, na, n_, red.data());
     for (int j = 0; j < na; ++j) {
@@ -264,6 +193,5 @@ std::vector<SolveResult> CgSolver<VT>::solve_many(const VT* b, std::ptrdiff_t ld
 }
 
 template class CgSolver<double>;
-template class CgSolver<float>;
 
 }  // namespace nk

@@ -31,7 +31,10 @@
 // throughput-bound instead of latency-bound.
 //
 // Layout: column c of X starts at x + c·ldx (each column contiguous,
-// length n); same for Y/B.  k = 0 is a no-op, k = 1 degenerates to spmv.
+// length n); same for Y/B.  k = 0 is a no-op.  A width-1 CSR product IS
+// spmv(): the call forwards to it, so a batched solver at width 1 (every
+// single-RHS CG/BiCGStab solve) runs the scalar kernel at its speed and
+// to its bits — the AVX-512 fp16 × fp32 row kernel included.
 #pragma once
 
 #include <span>
@@ -138,7 +141,12 @@ template <class MT, class XT, class YT, class Acc = promote_t<MT, XT>>
 void spmm(const CsrMatrix<MT>& a, const XT* x, std::ptrdiff_t ldx, YT* y,
           std::ptrdiff_t ldy, int k) {
   const std::ptrdiff_t n = a.nrows;
-  const std::ptrdiff_t work = static_cast<std::ptrdiff_t>(a.nnz()) * std::max(k, 1);
+  if (k == 1) {
+    spmv<MT, XT, YT, Acc>(a, std::span<const XT>(x, static_cast<std::size_t>(a.ncols)),
+                          std::span<YT>(y, static_cast<std::size_t>(n)));
+    return;
+  }
+  const std::ptrdiff_t work = static_cast<std::ptrdiff_t>(a.nnz()) * k;
   const index_t* __restrict rp = a.row_ptr.data();
   const index_t* __restrict ci = a.col_idx.data();
   const MT* __restrict v = a.vals.data();

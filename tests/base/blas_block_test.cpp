@@ -293,14 +293,8 @@ void check_dot_cols() {
         const auto ref = blas::dot(
             std::span<const TX>(x.data() + static_cast<std::size_t>(j) * n, n),
             std::span<const TY>(y.data() + static_cast<std::size_t>(j) * n, n));
-        // Identical accumulation order at one thread; reassociation bound
-        // when blas::dot parallelizes (dot_cols itself is serial).
-        const double acc_eps = std::is_same_v<S, double> ? 1e-15 : 1e-6;
-        const double tol = num_threads() == 1
-                               ? 0.0
-                               : acc_eps * static_cast<double>(n + 1) *
-                                     std::max(1.0, std::abs(static_cast<double>(ref)));
-        EXPECT_NEAR(static_cast<double>(rm[j]), static_cast<double>(ref), tol)
+        // blas::dot's summation order per column, at every thread count.
+        EXPECT_EQ(static_cast<double>(rm[j]), static_cast<double>(ref))
             << "n=" << n << " k=" << k << " j=" << j;
       }
     }
@@ -328,12 +322,7 @@ void check_nrm2_cols() {
       for (int j = 0; j < k; ++j) {
         const auto ref = blas::nrm2(
             std::span<const T>(x.data() + static_cast<std::size_t>(j) * n, n));
-        const double acc_eps = std::is_same_v<S, double> ? 1e-15 : 1e-6;
-        const double tol = num_threads() == 1
-                               ? 0.0
-                               : acc_eps * static_cast<double>(n + 1) *
-                                     std::max(1.0, static_cast<double>(ref));
-        EXPECT_NEAR(static_cast<double>(rm[j]), static_cast<double>(ref), tol)
+        EXPECT_EQ(static_cast<double>(rm[j]), static_cast<double>(ref))
             << "n=" << n << " k=" << k << " j=" << j;
       }
     }

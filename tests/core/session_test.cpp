@@ -14,10 +14,6 @@
 #include <thread>
 #include <vector>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include "base/rng.hpp"
 #include "core/f3r.hpp"
 #include "core/session.hpp"
@@ -26,16 +22,6 @@
 
 namespace nk {
 namespace {
-
-#ifdef _OPENMP
-struct SingleThreadGuard {
-  int saved = omp_get_max_threads();
-  SingleThreadGuard() { omp_set_num_threads(1); }
-  ~SingleThreadGuard() { omp_set_num_threads(saved); }
-};
-#else
-struct SingleThreadGuard {};
-#endif
 
 PreparedProblem sym_problem() {
   return prepare_problem("s", test::laplace2d(12, 12), true, 1.0, 1.0, 2);
@@ -123,10 +109,9 @@ TEST(Session, BuildsPrecondFromSpecAlone) {
 }
 
 /// The facade preserves the batched/sequential bit-identity contract:
-/// solve_many columns reproduce per-column solve() exactly (single-thread
-/// reductions), across plain and waved scheduling specs.
+/// solve_many columns reproduce per-column solve() exactly at any thread
+/// count, across plain and waved scheduling specs.
 TEST(Session, SolveManyColumnsMatchSequentialSolves) {
-  SingleThreadGuard guard;
   const auto p = sym_problem();
   const std::size_t n = p.b.size();
   const int k = 5;

@@ -2,20 +2,17 @@
 //
 // For every solver family and the F3R variants, solve_many(B) must agree
 // COLUMN-BY-COLUMN with k independent solve(b) calls — exactly (to the
-// bit) for the fp64 paths when the kernels run single-threaded, and to a
-// tight tolerance for the fp16-inner-level nestings (whose per-column
-// sequences are preserved by construction, but whose true residuals are
-// the meaningful comparison).  Also covered: the k = 0 and k = 1 edge
+// bit) for the fp64 paths at any thread count (the forced-team re-run
+// checks that with a real 4-thread team), and to a tight tolerance for
+// the fp16-inner-level nestings (whose per-column sequences are preserved
+// by construction, but whose true residuals are the meaningful
+// comparison).  Also covered: the k = 0 and k = 1 edge
 // cases, and SolverWorkspace reuse across two different matrices with
 // zero re-allocation.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <vector>
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
 
 #include "base/env.hpp"
 #include "base/rng.hpp"
@@ -34,19 +31,6 @@
 namespace nk {
 namespace {
 
-#ifdef _OPENMP
-/// The bit-exactness contract between batched and sequential solves holds
-/// when the blas1 reductions both paths call run deterministically, i.e.
-/// single-threaded; pin one thread for those cases and restore afterwards.
-struct SingleThreadGuard {
-  int saved = omp_get_max_threads();
-  SingleThreadGuard() { omp_set_num_threads(1); }
-  ~SingleThreadGuard() { omp_set_num_threads(saved); }
-};
-#else
-struct SingleThreadGuard {};
-#endif
-
 /// k RHS at columns of a contiguous block, each a fresh seeded vector.
 std::vector<double> make_batch(std::size_t n, int k, std::uint64_t seed0) {
   std::vector<double> B(n * static_cast<std::size_t>(k));
@@ -60,7 +44,6 @@ std::vector<double> make_batch(std::size_t n, int k, std::uint64_t seed0) {
 // ---------------------------------------------------------------- flat CG
 
 TEST(BatchedSolve, CgExactColumnAgreement) {
-  SingleThreadGuard guard;
   const auto a = test::scaled_laplace2d(24, 24);
   const std::size_t n = static_cast<std::size_t>(a.nrows);
   JacobiPrecond jac(a);
@@ -99,7 +82,6 @@ TEST(BatchedSolve, CgExactColumnAgreement) {
 TEST(BatchedSolve, CgIlu0ExactColumnAgreement) {
   // ILU0's fused apply_many shares the factor sweep — still bit-identical
   // per column to the sequential triangular solves.
-  SingleThreadGuard guard;
   const auto a = test::scaled_convdiff2d(20, 0.0);  // SPD (no convection)
   const std::size_t n = static_cast<std::size_t>(a.nrows);
   BlockJacobiIlu0 ilu(a, {.nblocks = 4, .alpha = 1.0});
@@ -130,7 +112,6 @@ TEST(BatchedSolve, CgIlu0ExactColumnAgreement) {
 // ------------------------------------------------------------- BiCGStab
 
 TEST(BatchedSolve, BicgstabExactColumnAgreement) {
-  SingleThreadGuard guard;
   const auto a = test::scaled_convdiff2d(20, 15.0);
   const std::size_t n = static_cast<std::size_t>(a.nrows);
   BlockJacobiIlu0 ilu(a, {.nblocks = 4, .alpha = 1.0});
@@ -164,7 +145,6 @@ TEST(BatchedSolve, BicgstabExactColumnAgreement) {
 // ------------------------------------------------------------ Richardson
 
 TEST(BatchedSolve, RichardsonApplyManyPreservesInvocationOrder) {
-  SingleThreadGuard guard;
   const auto a = test::scaled_laplace2d(16, 16);
   const std::size_t n = static_cast<std::size_t>(a.nrows);
   JacobiPrecond jac(a);
@@ -199,7 +179,6 @@ TEST(BatchedSolve, RichardsonApplyManyPreservesInvocationOrder) {
 // -------------------------------------------------------- nested (F3R)
 
 TEST(BatchedSolve, NestedF3rFp64ExactColumnAgreement) {
-  SingleThreadGuard guard;
   auto p = prepare_standin("hpcg_4_4_4", 1);
   auto m = registry().make_precond(parse_precond_spec("bj;nblocks=4"), p);
   const std::size_t n = p.b.size();
@@ -311,7 +290,6 @@ std::vector<double> staggered_batch(index_t nx, index_t ny, const std::vector<in
 /// bit-identical iterates, iteration counts, and histories.
 void check_cg_compact_vs_seq(const CsrMatrix<double>& a, const std::vector<double>& B,
                              int k, int wave, CgSolver<double>::Config cfg) {
-  SingleThreadGuard guard;
   const std::size_t n = static_cast<std::size_t>(a.nrows);
   JacobiPrecond jac(a);
   cfg.record_history = true;
@@ -354,7 +332,6 @@ TEST(BatchedCompaction, AllColumnsRetireAtIterationOne) {
 TEST(BatchedCompaction, AllColumnsConvergedAtInit) {
   // b = 0 columns converge before the loop (iteration 0): the compact path
   // must return without ever dispatching a kernel.
-  SingleThreadGuard guard;
   const auto a = test::scaled_laplace2d(12, 12);
   const std::size_t n = static_cast<std::size_t>(a.nrows);
   const int k = 3;
@@ -408,7 +385,6 @@ TEST(BatchedCompaction, RaggedWavesMatchSequential) {
 TEST(BatchedCompaction, MaxItersRetirementRefillsWave) {
   // Columns that exhaust the iteration budget unconverged must retire and
   // hand their wave slot to pending columns, with iteration counts intact.
-  SingleThreadGuard guard;
   const auto a = test::scaled_laplace2d(20, 20);
   const std::size_t n = static_cast<std::size_t>(a.nrows);
   const int k = 5;
@@ -438,7 +414,6 @@ TEST(BatchedCompaction, MaxItersRetirementRefillsWave) {
 }
 
 TEST(BatchedCompaction, BicgstabCompactMatchesSequential) {
-  SingleThreadGuard guard;
   const auto a = test::scaled_laplace2d(20, 20);
   const std::size_t n = static_cast<std::size_t>(a.nrows);
   const int k = 6;
@@ -476,7 +451,6 @@ TEST(BatchedCompaction, BicgstabCompactMatchesSequential) {
 // ------------------------------------------------- workspace lifecycle
 
 TEST(BatchedSolve, WorkspaceReuseAcrossTwoMatricesNoRealloc) {
-  SingleThreadGuard guard;
   // Two different matrices of the same size: the second tuple build +
   // batched solve must not grow the shared workspace at all.
   auto p1 = prepare_standin("hpcg_4_4_4", 1);
@@ -514,7 +488,6 @@ TEST(BatchedSolve, WorkspaceReuseAcrossTwoMatricesNoRealloc) {
 }
 
 TEST(BatchedSolve, RepeatedSolveManyZeroAllocation) {
-  SingleThreadGuard guard;
   const auto a = test::scaled_laplace2d(20, 20);
   const std::size_t n = static_cast<std::size_t>(a.nrows);
   JacobiPrecond jac(a);

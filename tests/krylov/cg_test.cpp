@@ -1,6 +1,9 @@
 // Tests for preconditioned CG.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
 #include "base/rng.hpp"
 #include "krylov/cg.hpp"
 #include "precond/block_jacobi_ic0.hpp"
@@ -75,6 +78,22 @@ TEST(Cg, ZeroRhsConvergesImmediately) {
   const auto res = cg.solve(std::span<const double>(b), std::span<double>(x));
   EXPECT_TRUE(test::converged(res));
   EXPECT_EQ(res.iterations, 0);
+}
+
+TEST(Cg, NonFiniteRhsFailsAtSiteB) {
+  // A poisoned b is retired before its first residual, under the site
+  // name BiCGStab uses too.
+  const auto a = test::laplace2d(4, 4);
+  CsrOperator<double, double> op(a);
+  IdentityPrecond<double> m(a.nrows);
+  CgSolver<double> cg(op, m, {});
+  std::vector<double> b(a.nrows, 1.0), x(a.nrows, 0.0);
+  b[5] = std::numeric_limits<double>::quiet_NaN();
+  const auto res = cg.solve(std::span<const double>(b), std::span<double>(x));
+  EXPECT_EQ(res.status, SolveStatus::kNonFinite);
+  EXPECT_EQ(res.failure, "b");
+  EXPECT_EQ(res.iterations, 0);
+  EXPECT_EQ(op.spmv_count(), 0u);
 }
 
 TEST(Cg, WarmStartFromGoodGuess) {

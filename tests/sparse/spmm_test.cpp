@@ -154,31 +154,12 @@ void check_dot_cols() {
       blas::dot_cols(x.data(), static_cast<std::ptrdiff_t>(nn), y.data(),
                      static_cast<std::ptrdiff_t>(nn), k, nn, out.data());
       for (int c = 0; c < k; ++c) {
-        // Serial-order reference replicating blas::dot's unrolling.
-        S ref;
-        if constexpr (sizeof(TX) == 2 || sizeof(TY) == 2) {
-          S s0{0}, s1{0}, s2{0}, s3{0};
-          std::size_t i = 0;
-          for (; i + 4 <= nn; i += 4) {
-            const std::size_t o = static_cast<std::size_t>(c) * nn + i;
-            s0 += static_cast<S>(x[o]) * static_cast<S>(y[o]);
-            s1 += static_cast<S>(x[o + 1]) * static_cast<S>(y[o + 1]);
-            s2 += static_cast<S>(x[o + 2]) * static_cast<S>(y[o + 2]);
-            s3 += static_cast<S>(x[o + 3]) * static_cast<S>(y[o + 3]);
-          }
-          for (; i < nn; ++i) {
-            const std::size_t o = static_cast<std::size_t>(c) * nn + i;
-            s0 += static_cast<S>(x[o]) * static_cast<S>(y[o]);
-          }
-          ref = (s0 + s1) + (s2 + s3);
-        } else {
-          S s{0};
-          for (std::size_t i = 0; i < nn; ++i) {
-            const std::size_t o = static_cast<std::size_t>(c) * nn + i;
-            s += static_cast<S>(x[o]) * static_cast<S>(y[o]);
-          }
-          ref = s;
-        }
+        // blas::dot's order: the serial chain (four-way on fp16) at one
+        // thread or below parallel_threshold(), its partial_sums chunks in
+        // thread order otherwise — the same at every thread count.
+        const S ref = blas::dot(
+            std::span<const TX>(x.data() + static_cast<std::size_t>(c) * nn, nn),
+            std::span<const TY>(y.data() + static_cast<std::size_t>(c) * nn, nn));
         ASSERT_EQ(static_cast<double>(out[c]), static_cast<double>(ref))
             << "n=" << n << " k=" << k << " c=" << c;
       }

@@ -45,8 +45,10 @@ RATIO_PAIRS = [
 PRECISIONS = ["fp64", "fp32", "fp16"]
 
 # Records of deleted code paths: the interleaved-panel dot_cols, the
-# lockstep batched FGMRES (FgmresSolver's former batched entry point), and
-# the opt-in native AVX-512 FP16 scal/axpy/dot (no end-to-end gain).  A
+# lockstep batched FGMRES (FgmresSolver's former batched entry point), the
+# opt-in native AVX-512 FP16 scal/axpy/dot (no end-to-end gain), and the
+# batched CG's per-iteration non-finite panel scan (the residual-norm check
+# already retires every poisoned column).  A
 # report still carrying one predates the deletion: exit 2 like a
 # rename/drop, so a stale baseline is refreshed rather than silently
 # half-compared.
@@ -56,8 +58,9 @@ RETIRED_FGMRES_STAGGERED = [
     "fgmres_staggered16_speedup",
 ]
 RETIRED_AVX512FP16 = [f"{k}_fp16_avx512fp16" for k in ("scal", "axpy", "dot")]
+RETIRED_PANEL_GUARD = ["solve_cg_batched_8rhs_guard_laplace", "solve_cg_guard_overhead"]
 RETIRED_RECORDS = ([f"dot_cols_cm_{p}_k8" for p in PRECISIONS] + RETIRED_FGMRES_STAGGERED
-                   + RETIRED_AVX512FP16)
+                   + RETIRED_AVX512FP16 + RETIRED_PANEL_GUARD)
 
 # Backend-tagged kernel records: the serial reference backend's cost over
 # the host backend's, for the same kern::Kernels call.  The ratio mostly
@@ -122,15 +125,6 @@ FLOOR_GATES = [
     ("daemon_cache_hit_rate", 0.99),
 ]
 
-# Guard-overhead gates: ABSOLUTE ceilings on the fresh guarded/unguarded
-# seconds ratio, not baseline-relative drift.  The resilience layer's
-# per-iteration non-finite panel scan must stay under 2% of the batched CG
-# solve regardless of what the committed baseline happened to measure — a
-# slow baseline must not grandfather in a slow guard.
-GUARD_PAIRS = [
-    ("solve_cg_batched_8rhs_guard_laplace", "solve_cg_batched_8rhs_laplace", 1.02),
-]
-
 # Bandwidth-ratio gates (HIGHER is better): the batched reduction's GB/s
 # over the single-column dot's, fresh vs committed.  Catches the
 # latency-bound regression class directly — a change that serializes the
@@ -160,7 +154,7 @@ def gated_pairs(tolerance):
               for f, r in BANDWIDTH_PAIRS for p in PRECISIONS]
     # Ceiling/floor gates carry their own absolute limit in place of a
     # tolerance; floor gates have no reference record at all.
-    pairs += [(f, r, ceiling, "ceiling") for f, r, ceiling in GUARD_PAIRS + AUTO_PAIRS]
+    pairs += [(f, r, ceiling, "ceiling") for f, r, ceiling in AUTO_PAIRS]
     pairs += [(f, None, floor, "floor") for f, floor in FLOOR_GATES]
     return pairs
 
@@ -291,15 +285,6 @@ def self_test():
     narrow["dot_cols_fp32_k8"] = dict(narrow["dot_cols_fp32_k8"], gbps=1.0)
     expect("bandwidth-ratio regression fails", diff(narrow, synthetic(), 0.25), 1)
 
-    # The guard ceiling is absolute: a 5% overhead fails even when the
-    # committed baseline carries the same 5% (no grandfathering).
-    heavy = synthetic()
-    heavy["solve_cg_batched_8rhs_guard_laplace"] = dict(
-        heavy["solve_cg_batched_8rhs_guard_laplace"],
-        seconds=1.05 * heavy["solve_cg_batched_8rhs_laplace"]["seconds"])
-    expect("guard overhead above the absolute ceiling fails",
-           diff(heavy, dict(heavy), 0.25), 1)
-
     # The cache-hit floor is absolute too: a daemon that makes repeat
     # clients re-pay setup fails even against a baseline with the same rate.
     cold = synthetic()
@@ -368,12 +353,14 @@ def self_test():
     expect("soft backend records absent from baseline skip",
            diff(synthetic(), pre_seam, 0.25), 0)
 
-    # Likewise the native AVX-512 FP16 kernels.
-    fp16_era = synthetic()
-    for name in RETIRED_AVX512FP16:
-        fp16_era[name] = {"name": name, "seconds": 0.25, "gbps": 4.0}
-    expect("retired avx512fp16 records in the baseline exit 2",
-           diff(synthetic(), fp16_era, 0.25), 2)
+    # Likewise the native AVX-512 FP16 kernels and the batched panel guard.
+    for family, names in (("avx512fp16", RETIRED_AVX512FP16),
+                          ("panel guard", RETIRED_PANEL_GUARD)):
+        era = synthetic()
+        for name in names:
+            era[name] = {"name": name, "seconds": 0.25, "gbps": 4.0}
+        expect(f"retired {family} records in the baseline exit 2",
+               diff(synthetic(), era, 0.25), 2)
 
     both = synthetic()
     fused, ref, _tol, _metric = gated_pairs(0.25)[0]
