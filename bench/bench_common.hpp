@@ -12,6 +12,10 @@
 //   --best             include the fp16-F3R-best parameter search (slow)
 //   --format=csr|sell  sparse storage for the solver operators (sell =
 //                      sliced ELLPACK, the paper's GPU-node layout)
+//   --gpu-sim          the paper's GPU-node configuration where a bench has one
+//   --help             print these flags and exit 0
+//
+// Any other flag exits 2 with one line naming it.
 //
 // Default matrix subsets are chosen so the whole bench suite finishes in
 // minutes on a single core; pass --matrices=all --scale=2 (or more) for
@@ -57,6 +61,11 @@ inline BenchConfig parse_bench_options(const Options& opt,
   // A typo'd NKRYLOV_BACKEND must kill the bench up front, not tag hours
   // of records with a backend the run never used.
   require_backend_env_cli();
+  if (opt.wants_help()) {
+    std::cout << "flags: --matrices=a,b,...|all|sym|nonsym --scale=N --rtol=X --max-iters=N\n"
+                 "       --runs=N --nblocks=N --csv=path --best --gpu-sim --format=csr|sell\n";
+    std::exit(0);
+  }
   BenchConfig c;
   c.matrices = opt.get_list("matrices", default_matrices);
   if (c.matrices.size() == 1 && c.matrices[0] == "all") {
@@ -81,6 +90,7 @@ inline BenchConfig parse_bench_options(const Options& opt,
     std::cerr << "error: invalid value '" << c.format << "' for --format (csr|sell)\n";
     std::exit(2);
   }
+  opt.reject_unknown();
   return c;
 }
 

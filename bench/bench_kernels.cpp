@@ -1017,6 +1017,7 @@ int main(int argc, char** argv) {
   const std::int64_t n = opt.get_int64("n", 100000LL * scale);
   g_runs = opt.get_int("runs", 5);
   const std::string json = opt.get("json", "BENCH_kernels.json");
+  opt.reject_unknown();
 
   std::cout << "nkrylov bench: kernel microbenchmarks (fused Arnoldi + SIMD SELL)\n";
   std::cout << "env: " << env_summary() << "\n";

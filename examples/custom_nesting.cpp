@@ -15,11 +15,19 @@
 
 int main(int argc, char** argv) {
   nk::Options opt(argc, argv);
+  if (opt.wants_help()) {
+    std::cout << "usage: custom_nesting [--problem=hpgmp_5_5_5] [--scale=1] [--budget=64]\n"
+                 "         [--rtol=1e-8] [--max-iters=5000]\n";
+    return 0;
+  }
   const std::string problem = opt.get("problem", "hpgmp_5_5_5");
+  const int scale = opt.get_int("scale", 1);
   const int budget = opt.get_int("budget", 64);  // primary applications per outer iter
   const double rtol = opt.get_double("rtol", 1e-8);
+  const int max_iters = opt.get_int("max-iters", 5000);
+  opt.reject_unknown();
 
-  auto p = nk::prepare_standin(problem, opt.get_int("scale", 1));
+  auto p = nk::prepare_standin(problem, scale);
   auto m = nk::registry().make_precond(nk::parse_precond_spec("bj;nblocks=64"), p);
   std::cout << "problem " << p.name << ": n=" << p.a->size()
             << ", nnz/row=" << nk::Table::fmt(p.a->csr_fp64().nnz_per_row(), 1) << "\n";
@@ -70,7 +78,7 @@ int main(int argc, char** argv) {
   row(nested(nk::f3r_config(nk::Prec::FP16)), "(F^100, F^8, F^4, R^2, M)");
   nk::SolverSpec flat = nk::parse_solver_spec("fgmres" + std::to_string(budget));
   flat.rtol = rtol;
-  flat.max_iters = opt.get_int("max-iters", 5000);
+  flat.max_iters = max_iters;
   row(nk::Session(nk::borrow_problem(p), flat, m).solve(),
       "(F^" + std::to_string(budget) + ", M) restarted");
   t.print(std::cout);

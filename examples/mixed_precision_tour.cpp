@@ -17,11 +17,17 @@
 
 int main(int argc, char** argv) {
   nk::Options opt(argc, argv);
+  if (opt.wants_help()) {
+    std::cout << "usage: mixed_precision_tour [--problem=hpcg_5_5_5] [--scale=1] [--gpu-sim]\n"
+                 "         [--rtol=1e-8] [--max-iters=19200]\n";
+    return 0;
+  }
   const std::string name = opt.get("problem", "hpcg_5_5_5");
   const int scale = opt.get_int("scale", 1);
   const bool gpu_sim = opt.get_bool("gpu-sim", false);
   const double rtol = opt.get_double("rtol", 1e-8);
   const int max_iters = opt.get_int("max-iters", 19200);
+  opt.reject_unknown();
 
   std::cout << "nkrylov mixed-precision tour (" << nk::env_summary() << ")\n";
   nk::PreparedProblem p = nk::prepare_standin(name, scale, 7, gpu_sim);

@@ -13,6 +13,7 @@
 // and exits 2.  The preconditioner is chosen by --gpu-sim (SD-AINV) vs
 // default (block-Jacobi ILU(0)/IC(0)); a "/precond" part in the spec
 // overrides it.
+#include <cstdint>
 #include <iostream>
 
 #include "base/env.hpp"
@@ -36,6 +37,10 @@ int main(int argc, char** argv) {
   const double rtol = opt.get_double("rtol", 1e-8);
   const double alpha = opt.get_double("alpha", 1.0);
   const bool gpu_sim = opt.get_bool("gpu-sim", false);
+  const std::int64_t seed = opt.get_int64("seed", 7);
+  const int nblocks = opt.get_int("nblocks", 64);
+  const int max_iters = opt.get_int("max-iters", 19200);
+  opt.reject_unknown();
 
   nk::CsrMatrix<double> a;
   try {
@@ -48,12 +53,12 @@ int main(int argc, char** argv) {
   std::cout << path << ": " << nk::stats_summary(stats) << "\n";
 
   auto p = nk::prepare_problem(path, std::move(a), stats.numerically_symmetric, alpha, alpha,
-                               opt.get_int64("seed", 7), gpu_sim);
+                               seed, gpu_sim);
 
   nk::SolveResult res;
   if (solver == "fp16-F3R-best") {  // a search over specs, not a spec itself
     nk::PrecondSpec ps = nk::parse_precond_spec(gpu_sim ? "sd-ainv" : "bj");
-    ps.nblocks = opt.get_int("nblocks", 64);
+    ps.nblocks = nblocks;
     res = nk::run_f3r_best(p, nk::registry().make_precond(ps, p), rtol).result;
   } else {
     // Malformed/unknown --solver values exit(2) with the registered kinds
@@ -62,13 +67,13 @@ int main(int argc, char** argv) {
     // --solver="cg;rtol=1e-4" keeps its in-spec settings.
     nk::SolverSpec spec = nk::parse_solver_spec_cli("solver", solver);
     if (opt.has("rtol")) spec.rtol = rtol;
-    if (opt.has("max-iters")) spec.max_iters = opt.get_int("max-iters", 19200);
+    if (opt.has("max-iters")) spec.max_iters = max_iters;
     if (solver.find('/') == std::string::npos) {
       // No explicit precond in the spec: --gpu-sim picks the paper's node.
       spec.precond.kind = gpu_sim ? "sd-ainv" : "bj";
     }
     if (opt.has("nblocks") || spec.precond.nblocks == 0)
-      spec.precond.nblocks = opt.get_int("nblocks", 64);
+      spec.precond.nblocks = nblocks;
     try {  // constructor-rejected values (e.g. ssor omega out of range)
       nk::Session session(std::move(p), spec);
       std::cout << "solver " << session.solver_name() << " = " << spec.to_string()

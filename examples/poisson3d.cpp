@@ -18,8 +18,13 @@
 
 int main(int argc, char** argv) {
   nk::Options opt(argc, argv);
+  if (opt.wants_help()) {
+    std::cout << "usage: poisson3d [--n=48] [--rtol=1e-8]\n";
+    return 0;
+  }
   const nk::index_t n = opt.get_int("n", 48);
   const double rtol = opt.get_double("rtol", 1e-8);
+  opt.reject_unknown();
 
   std::cout << "3-D Poisson heat problem on a " << n << "^3 grid (" << n * n * n
             << " unknowns)\n";

@@ -18,6 +18,10 @@
 
 int main(int argc, char** argv) {
   nk::Options opt(argc, argv);
+  if (opt.wants_help()) {
+    std::cout << "usage: quickstart [--l=5] [--prec=fp16] [--spec=f3r@fp16] [--rtol=1e-8]\n";
+    return 0;
+  }
   const int l = opt.get_int("l", 5);             // grid is 2^l per axis
   // --prec is folded into the default spec; validate it under its own name
   // so a bad value is not reported against a --spec the user never typed.
@@ -31,6 +35,8 @@ int main(int argc, char** argv) {
     }
   }
   const std::string spec_text = opt.get("spec", "f3r@" + prec);
+  const double rtol = opt.get_double("rtol", 0.0);
+  opt.reject_unknown();
 
   std::cout << "nkrylov quickstart (" << nk::env_summary() << ")\n";
 
@@ -48,7 +54,7 @@ int main(int argc, char** argv) {
   // lowest precision over the default block-Jacobi IC(0); Session builds
   // the preconditioner and solver from it.
   nk::SolverSpec spec = nk::parse_solver_spec_cli("spec", spec_text);
-  spec.rtol = opt.get_double("rtol", spec.rtol);
+  if (opt.has("rtol")) spec.rtol = rtol;
   nk::Session session(std::move(p), spec);
   std::cout << "spec " << spec.to_string() << " -> solver " << session.solver_name()
             << ", M = " << session.precond().name() << "\n";

@@ -63,22 +63,26 @@ int list_kinds() {
 int main(int argc, char** argv) {
   nk::require_backend_env_cli();
   nk::Options opt(argc, argv);
-  if (opt.get_bool("list", false)) return list_kinds();
-  if (opt.positional().empty() || opt.wants_help()) {
+  const bool list = opt.get_bool("list", false);
+  const std::string spec_flag = opt.get("spec", "f3r@fp16");
+  const bool use_sell = opt.get_bool("sell", false);
+  const std::uint64_t seed = static_cast<std::uint64_t>(opt.get_int64("seed", 7));
+  const int rhs = opt.get_int("rhs", 1);
+  const int scale = opt.get_int("scale", 1);
+  const bool help = opt.wants_help();
+  opt.reject_unknown();
+  if (list) return list_kinds();
+  if (opt.positional().empty() || help) {
     std::cerr << "usage: solve_spec MATRIX [SPEC] [--scale=1] [--seed=7] [--sell] "
                  "[--rhs=K]\n"
                  "       solve_spec --list\n"
                  "  MATRIX: stand-in name (e.g. hpcg_4_4_4) or a .mtx file\n"
                  "  SPEC:   solver spec string, default f3r@fp16\n"
                  "  --list: print the registered solver/preconditioner kinds\n";
-    return opt.wants_help() ? 0 : 2;
+    return help ? 0 : 2;
   }
   const std::string matrix = opt.positional()[0];
-  const std::string spec_text =
-      opt.positional().size() > 1 ? opt.positional()[1] : opt.get("spec", "f3r@fp16");
-  const bool use_sell = opt.get_bool("sell", false);
-  const std::uint64_t seed = static_cast<std::uint64_t>(opt.get_int64("seed", 7));
-  const int rhs = opt.get_int("rhs", 1);
+  const std::string spec_text = opt.positional().size() > 1 ? opt.positional()[1] : spec_flag;
 
   const nk::SolverSpec spec = nk::parse_solver_spec_cli("spec", spec_text);
 
@@ -90,7 +94,7 @@ int main(int argc, char** argv) {
       p = nk::prepare_problem(matrix, std::move(a), stats.numerically_symmetric, 1.0, 1.0,
                               seed, use_sell);
     } else {
-      p = nk::prepare_standin(matrix, opt.get_int("scale", 1), seed, use_sell);
+      p = nk::prepare_standin(matrix, scale, seed, use_sell);
     }
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";

@@ -161,52 +161,41 @@ class Kernels {
   }
 
   // ---- sparse products ---------------------------------------------------
+  //
+  // `Mat` is any CSR or SELL-C form: an owning CsrMatrix/SellMatrix, a
+  // value-only CsrValues/SellValues copy, or a view of either.  Naming the
+  // storage precision MT explicitly lets each backend take the argument
+  // through its non-owning CsrView/SellView.
 
-  template <class MT, class XT, class YT>
-  void spmv(const CsrMatrix<MT>& a, std::span<const XT> x, std::span<YT> y) const {
-    if (be_ == Backend::kSerial) nk::serial::spmv(a, x, y);
-    else nk::spmv(a, x, y);
+  template <class Mat, class XT, class YT>
+  void spmv(const Mat& a, std::span<const XT> x, std::span<YT> y) const {
+    using MT = typename Mat::value_type;
+    if (be_ == Backend::kSerial) nk::serial::spmv<MT>(a, x, y);
+    else nk::spmv<MT>(a, x, y);
   }
 
-  template <class MT, class XT, class YT>
-  void spmv(const SellMatrix<MT>& a, std::span<const XT> x, std::span<YT> y) const {
-    if (be_ == Backend::kSerial) nk::serial::spmv(a, x, y);
-    else nk::spmv(a, x, y);
-  }
-
-  template <class MT, class XT, class BT, class YT>
-  void residual(const CsrMatrix<MT>& a, std::span<const XT> x, std::span<const BT> b,
+  template <class Mat, class XT, class BT, class YT>
+  void residual(const Mat& a, std::span<const XT> x, std::span<const BT> b,
                 std::span<YT> y) const {
-    if (be_ == Backend::kSerial) nk::serial::residual(a, x, b, y);
-    else nk::residual(a, x, b, y);
+    using MT = typename Mat::value_type;
+    if (be_ == Backend::kSerial) nk::serial::residual<MT>(a, x, b, y);
+    else nk::residual<MT>(a, x, b, y);
   }
 
-  template <class MT, class XT, class BT, class YT>
-  void residual(const SellMatrix<MT>& a, std::span<const XT> x, std::span<const BT> b,
-                std::span<YT> y) const {
-    if (be_ == Backend::kSerial) nk::serial::residual(a, x, b, y);
-    else nk::residual(a, x, b, y);
-  }
-
-  template <class MT, class XT>
-  double relative_residual(const CsrMatrix<MT>& a, std::span<const XT> x,
+  template <class Mat, class XT>
+  double relative_residual(const Mat& a, std::span<const XT> x,
                            std::span<const double> b) const {
-    return be_ == Backend::kSerial ? nk::serial::relative_residual(a, x, b)
-                                   : nk::relative_residual(a, x, b);
+    using MT = typename Mat::value_type;
+    return be_ == Backend::kSerial ? nk::serial::relative_residual<MT>(a, x, b)
+                                   : nk::relative_residual<MT>(a, x, b);
   }
 
-  template <class MT, class XT, class YT>
-  void spmm(const CsrMatrix<MT>& a, const XT* x, std::ptrdiff_t ldx, YT* y,
-            std::ptrdiff_t ldy, int k) const {
-    if (be_ == Backend::kSerial) nk::serial::spmm(a, x, ldx, y, ldy, k);
-    else nk::spmm(a, x, ldx, y, ldy, k);
-  }
-
-  template <class MT, class XT, class YT>
-  void spmm(const SellMatrix<MT>& a, const XT* x, std::ptrdiff_t ldx, YT* y,
-            std::ptrdiff_t ldy, int k) const {
-    if (be_ == Backend::kSerial) nk::serial::spmm(a, x, ldx, y, ldy, k);
-    else nk::spmm(a, x, ldx, y, ldy, k);
+  template <class Mat, class XT, class YT>
+  void spmm(const Mat& a, const XT* x, std::ptrdiff_t ldx, YT* y, std::ptrdiff_t ldy,
+            int k) const {
+    using MT = typename Mat::value_type;
+    if (be_ == Backend::kSerial) nk::serial::spmm<MT>(a, x, ldx, y, ldy, k);
+    else nk::spmm<MT>(a, x, ldx, y, ldy, k);
   }
 
  private:

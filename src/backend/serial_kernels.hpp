@@ -261,7 +261,7 @@ void axpby_cols(const S* alpha, const TX* x, std::ptrdiff_t ldx, const S* beta, 
 
 /// y = A x over CSR: one accumulator per row.
 template <class MT, class XT, class YT, class Acc = promote_t<MT, XT>>
-void spmv(const CsrMatrix<MT>& a, std::span<const XT> x, std::span<YT> y) {
+void spmv(CsrView<MT> a, std::span<const XT> x, std::span<YT> y) {
   const std::ptrdiff_t n = a.nrows;
   const index_t* rp = a.row_ptr.data();
   const index_t* ci = a.col_idx.data();
@@ -277,7 +277,7 @@ void spmv(const CsrMatrix<MT>& a, std::span<const XT> x, std::span<YT> y) {
 /// y = b - A x over CSR.
 template <class MT, class XT, class BT, class YT,
           class Acc = promote_t<promote_t<MT, XT>, BT>>
-void residual(const CsrMatrix<MT>& a, std::span<const XT> x, std::span<const BT> b,
+void residual(CsrView<MT> a, std::span<const XT> x, std::span<const BT> b,
               std::span<YT> y) {
   const std::ptrdiff_t n = a.nrows;
   const index_t* rp = a.row_ptr.data();
@@ -293,7 +293,7 @@ void residual(const CsrMatrix<MT>& a, std::span<const XT> x, std::span<const BT>
 
 /// ‖b - A x‖₂ / ‖b‖₂ in fp64 (the outer convergence criterion).
 template <class MT, class XT>
-double relative_residual(const CsrMatrix<MT>& a, std::span<const XT> x,
+double relative_residual(CsrView<MT> a, std::span<const XT> x,
                          std::span<const double> b) {
   const std::ptrdiff_t n = a.nrows;
   const index_t* rp = a.row_ptr.data();
@@ -328,7 +328,7 @@ inline Acc lane_dot(const MT* vals, const index_t* cols, const XT* x, index_t ba
 
 /// y = A x over SELL-C: plain lane walks (padding contributes exact zeros).
 template <class MT, class XT, class YT, class Acc = promote_t<MT, XT>>
-void spmv(const SellMatrix<MT>& a, std::span<const XT> x, std::span<YT> y) {
+void spmv(SellView<MT> a, std::span<const XT> x, std::span<YT> y) {
   const index_t ns = a.nslices();
   const int C = a.chunk;
   for (index_t sl = 0; sl < ns; ++sl) {
@@ -344,7 +344,7 @@ void spmv(const SellMatrix<MT>& a, std::span<const XT> x, std::span<YT> y) {
 /// y = b - A x over SELL-C.
 template <class MT, class XT, class BT, class YT,
           class Acc = promote_t<promote_t<MT, XT>, BT>>
-void residual(const SellMatrix<MT>& a, std::span<const XT> x, std::span<const BT> b,
+void residual(SellView<MT> a, std::span<const XT> x, std::span<const BT> b,
               std::span<YT> y) {
   const index_t ns = a.nslices();
   const int C = a.chunk;
@@ -362,7 +362,7 @@ void residual(const SellMatrix<MT>& a, std::span<const XT> x, std::span<const BT
 
 /// Y_c = A X_c over CSR, per column.
 template <class MT, class XT, class YT, class Acc = promote_t<MT, XT>>
-void spmm(const CsrMatrix<MT>& a, const XT* x, std::ptrdiff_t ldx, YT* y,
+void spmm(CsrView<MT> a, const XT* x, std::ptrdiff_t ldx, YT* y,
           std::ptrdiff_t ldy, int k) {
   const std::ptrdiff_t n = a.nrows;
   const index_t* rp = a.row_ptr.data();
@@ -382,7 +382,7 @@ void spmm(const CsrMatrix<MT>& a, const XT* x, std::ptrdiff_t ldx, YT* y,
 
 /// Y_c = A X_c over SELL-C, per column.
 template <class MT, class XT, class YT, class Acc = promote_t<MT, XT>>
-void spmm(const SellMatrix<MT>& a, const XT* x, std::ptrdiff_t ldx, YT* y,
+void spmm(SellView<MT> a, const XT* x, std::ptrdiff_t ldx, YT* y,
           std::ptrdiff_t ldy, int k) {
   for (int c = 0; c < k; ++c) {
     const XT* xc = x + static_cast<std::ptrdiff_t>(c) * ldx;

@@ -92,15 +92,29 @@ Options::Options(int argc, char** argv) {
   }
 }
 
-bool Options::has(const std::string& key) const { return kv_.count(key) > 0; }
+std::map<std::string, std::string>::const_iterator Options::find(
+    const std::string& key) const {
+  read_.insert(key);
+  return kv_.find(key);
+}
+
+bool Options::has(const std::string& key) const { return find(key) != kv_.end(); }
+
+void Options::reject_unknown() const {
+  for (const auto& kv : kv_)
+    if (read_.count(kv.first) == 0) {
+      std::cerr << "error: unknown flag --" << kv.first << "\n";
+      std::exit(2);
+    }
+}
 
 std::string Options::get(const std::string& key, const std::string& def) const {
-  auto it = kv_.find(key);
+  auto it = find(key);
   return it == kv_.end() ? def : it->second;
 }
 
 int Options::get_int(const std::string& key, int def) const {
-  auto it = kv_.find(key);
+  auto it = find(key);
   if (it == kv_.end()) return def;
   return static_cast<int>(parse_int_checked(key, it->second,
                                             std::numeric_limits<int>::min(),
@@ -108,27 +122,27 @@ int Options::get_int(const std::string& key, int def) const {
 }
 
 std::int64_t Options::get_int64(const std::string& key, std::int64_t def) const {
-  auto it = kv_.find(key);
+  auto it = find(key);
   if (it == kv_.end()) return def;
   return parse_int_checked(key, it->second, std::numeric_limits<std::int64_t>::min(),
                            std::numeric_limits<std::int64_t>::max());
 }
 
 double Options::get_double(const std::string& key, double def) const {
-  auto it = kv_.find(key);
+  auto it = find(key);
   if (it == kv_.end()) return def;
   return parse_double_checked(key, it->second);
 }
 
 bool Options::get_bool(const std::string& key, bool def) const {
-  auto it = kv_.find(key);
+  auto it = find(key);
   if (it == kv_.end()) return def;
   const std::string& v = it->second;
   return v == "true" || v == "1" || v == "yes" || v == "on";
 }
 
 std::vector<int> Options::get_int_list(const std::string& key, const std::vector<int>& def) const {
-  auto it = kv_.find(key);
+  auto it = find(key);
   if (it == kv_.end()) return def;
   std::vector<int> out;
   for (const auto& tok : split_csv(it->second))
@@ -141,7 +155,7 @@ std::vector<int> Options::get_int_list(const std::string& key, const std::vector
 
 std::vector<double> Options::get_double_list(const std::string& key,
                                              const std::vector<double>& def) const {
-  auto it = kv_.find(key);
+  auto it = find(key);
   if (it == kv_.end()) return def;
   std::vector<double> out;
   for (const auto& tok : split_csv(it->second))
@@ -151,7 +165,7 @@ std::vector<double> Options::get_double_list(const std::string& key,
 
 std::vector<std::string> Options::get_list(const std::string& key,
                                            const std::vector<std::string>& def) const {
-  auto it = kv_.find(key);
+  auto it = find(key);
   if (it == kv_.end()) return def;
   std::vector<std::string> out;
   for (auto& tok : split_csv(it->second))

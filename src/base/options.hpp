@@ -1,13 +1,15 @@
 // Minimal command-line option parsing shared by benches and examples.
 //
 // Syntax: --key=value or --key value or bare --flag (boolean true).
-// Unknown keys are kept so harnesses can pass through google-benchmark
-// flags; `Options::check_unknown` can be used to reject typos instead.
+// Every getter (and has()) records the key it looked up; a program calls
+// `reject_unknown()` once it has read all its options, so a typo such as
+// --scael=2 exits 2 naming the flag instead of running on the defaults.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -49,8 +51,18 @@ class Options {
   /// True if --help/-h given.
   [[nodiscard]] bool wants_help() const { return has("help") || has("h"); }
 
+  /// If a flag was given that no getter or has() has looked up, print one
+  /// line naming it and exit(2), as a malformed value does.  Call after
+  /// every option is read and before any work starts.
+  void reject_unknown() const;
+
  private:
+  /// The entry for `key` (end() if absent), recording that it was read.
+  [[nodiscard]] std::map<std::string, std::string>::const_iterator find(
+      const std::string& key) const;
+
   std::map<std::string, std::string> kv_;
+  mutable std::set<std::string> read_;
   std::vector<std::string> positional_;
   std::vector<std::pair<std::string, std::string>> descriptions_;
 };

@@ -16,15 +16,16 @@ MatrixCopy<double> square_copy(CsrMatrix<double> a, bool use_sell, int sell_chun
   // SpecError subclasses std::invalid_argument, so legacy catch sites keep
   // working while the library path (Session) reports kInvalidInput.
   if (a.nrows != a.ncols) throw SpecError("MultiPrecMatrix: matrix must be square");
-  MatrixCopy<double> c{std::move(a), std::nullopt};
-  if (use_sell) c.sell = csr_to_sell(c.csr, sell_chunk);
+  MatrixCopy<double> c{std::make_shared<const CsrMatrix<double>>(std::move(a)), nullptr};
+  if (use_sell)
+    c.sell = std::make_shared<const SellMatrix<double>>(csr_to_sell(*c.csr, sell_chunk));
   return c;
 }
 
 template <class VT, class P>
 std::unique_ptr<Operator<VT>> operator_over(const MatrixCopy<P>& c, Backend be) {
   if (c.sell) return std::make_unique<SellOperator<P, VT>>(*c.sell, be);
-  return std::make_unique<CsrOperator<P, VT>>(c.csr, be);
+  return std::make_unique<CsrOperator<P, VT>>(*c.csr, be);
 }
 
 }  // namespace
@@ -50,14 +51,15 @@ template std::unique_ptr<Operator<float>> MultiPrecMatrix::make_operator<float>(
 template std::unique_ptr<Operator<half>> MultiPrecMatrix::make_operator<half>(Prec,
                                                                               Backend);
 
-std::size_t MultiPrecMatrix::value_bytes() const {
-  std::size_t b = 0;
+std::size_t MultiPrecMatrix::bytes() const {
+  const MatrixCopy<double>& c64 = *copies_.get<double>();
+  std::size_t b = c64.csr->index_bytes() + c64.csr->vals.size() * sizeof(double);
+  if (c64.sell) b += c64.sell->index_bytes() + c64.sell->vals.size() * sizeof(double);
   const auto add = [&b]<class P>(const std::shared_ptr<const MatrixCopy<P>>& c) {
     if (!c) return;
-    b += c->csr.vals.size() * sizeof(P);
+    if (c->csr) b += c->csr->vals.size() * sizeof(P);
     if (c->sell) b += c->sell->vals.size() * sizeof(P);
   };
-  add(copies_.minted<double>());
   add(copies_.minted<float>());
   add(copies_.minted<half>());
   return b;

@@ -40,29 +40,43 @@
 
 namespace nk {
 
-/// One storage precision's copy of A: CSR, plus sliced ELLPACK when the
-/// operators use it.
+/// One storage precision's copy of A.  Only the fp64 copy owns indices —
+/// the paper's one set of 32-bit indices for values stored "in fp64, fp32,
+/// and fp16" — so a lower copy is values only: over the fp64 CSR pattern,
+/// or, when the operators run sliced ELLPACK, over the fp64 slice
+/// structure, with no CSR copy at all (the operators never read it).
 template <class P>
 struct MatrixCopy {
-  CsrMatrix<P> csr;
-  std::optional<SellMatrix<P>> sell;
+  std::optional<CsrValues<P>> csr;    ///< unset when `sell` is set
+  std::optional<SellValues<P>> sell;
 };
 
-/// Cast A's values to another storage precision (SELL rebuilt from the
-/// cast CSR copy).
-template <class Dst, class Src>
-MatrixCopy<Dst> cast_factors(const MatrixCopy<Src>& m) {
-  MatrixCopy<Dst> out{cast_matrix<Dst>(m.csr), std::nullopt};
-  if (m.sell) out.sell = csr_to_sell(out.csr, m.sell->chunk);
+/// The fp64 copy: A itself in CSR (every fp64 residual reads it), plus
+/// sliced ELLPACK when the operators use it.  Shared pointers, because the
+/// lower copies hold on to their structure.
+template <>
+struct MatrixCopy<double> {
+  std::shared_ptr<const CsrMatrix<double>> csr;
+  std::shared_ptr<const SellMatrix<double>> sell;  ///< null unless use_sell
+};
+
+/// Cast A's values to another storage precision, over the fp64 copy's
+/// structure (SELL when present, else CSR).
+template <class Dst>
+MatrixCopy<Dst> cast_factors(const MatrixCopy<double>& m) {
+  MatrixCopy<Dst> out;
+  if (m.sell) out.sell = cast_values<Dst>(m.sell, m.sell->vals);
+  else out.csr = cast_values<Dst>(m.csr, m.csr->vals);
   return out;
 }
 
-/// Matrix copies per storage precision, CSR and (optionally) sliced
-/// ELLPACK.  F3R "requires storing matrix values in fp64, fp32, and fp16";
-/// the fp32/fp16 copies come from a PrecCopies ladder, so each is cast
-/// once, for the precisions a configuration uses, on its first
-/// make_operator — and safely when Sessions sharing this matrix make their
-/// first operators at the same time.
+/// Matrix copies per storage precision, CSR or sliced ELLPACK.  F3R
+/// "requires storing matrix values in fp64, fp32, and fp16"; the fp32/fp16
+/// copies come from a PrecCopies ladder, so each is cast once, for the
+/// precisions a configuration uses, on its first make_operator — and safely
+/// when Sessions sharing this matrix make their first operators at the same
+/// time.  fp16-F3R thus holds 18 B/nnz of A (8 + 4 + 2 of values, one 4 B
+/// column index), not the 26 that three full CSR copies would take.
 class MultiPrecMatrix {
  public:
   /// `use_sell` switches every operator to the sliced-ELLPACK kernels (the
@@ -71,9 +85,16 @@ class MultiPrecMatrix {
 
   [[nodiscard]] index_t size() const { return csr_fp64().nrows; }
   [[nodiscard]] const CsrMatrix<double>& csr_fp64() const {
-    return copies_.get<double>()->csr;
+    return *copies_.get<double>()->csr;
   }
-  [[nodiscard]] bool uses_sell() const { return copies_.get<double>()->sell.has_value(); }
+  [[nodiscard]] bool uses_sell() const { return copies_.get<double>()->sell != nullptr; }
+
+  /// The copy at storage precision P, minted on first request as by
+  /// make_operator; the reference is stable for this object's lifetime.
+  template <class P>
+  [[nodiscard]] const MatrixCopy<P>& copy() const {
+    return *copies_.get<P>();
+  }
 
   /// Create a typed operator (vector type VT over storage precision `mp`)
   /// whose products run on backend `be`.  The operator references matrix
@@ -81,9 +102,10 @@ class MultiPrecMatrix {
   template <class VT>
   std::unique_ptr<Operator<VT>> make_operator(Prec mp, Backend be = Backend::kHost);
 
-  /// Total bytes of matrix value storage materialized so far (the paper
-  /// notes this replication "incurs an overhead" on cache-limited nodes).
-  [[nodiscard]] std::size_t value_bytes() const;
+  /// Total bytes of matrix storage materialized so far, values and indices,
+  /// each index array counted once (the paper notes the value replication
+  /// "incurs an overhead" on cache-limited nodes).
+  [[nodiscard]] std::size_t bytes() const;
 
  private:
   PrecCopies<MatrixCopy> copies_;

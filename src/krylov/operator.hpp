@@ -51,60 +51,59 @@ class Operator {
 };
 
 /// CSR-backed operator; MT is the storage precision of the matrix values.
-/// The backend chooses which kernel implementation performs the products —
-/// the operator itself never names one.
+/// It reads the matrix through a view, so the matrix (a CsrMatrix or a
+/// value-only CsrValues copy) must outlive it.  The backend chooses which
+/// kernel implementation performs the products — the operator itself never
+/// names one.
 template <class MT, class VT>
 class CsrOperator final : public Operator<VT> {
  public:
-  explicit CsrOperator(const CsrMatrix<MT>& a, Backend be = Backend::kHost)
-      : a_(&a), kx_(be) {}
+  explicit CsrOperator(CsrView<MT> a, Backend be = Backend::kHost) : a_(a), kx_(be) {}
 
   void apply(std::span<const VT> x, std::span<VT> y) override {
     ++this->count_;
-    kx_.spmv(*a_, x, y);
+    kx_.spmv(a_, x, y);
   }
   void residual(std::span<const VT> b, std::span<const VT> x, std::span<VT> r) override {
     ++this->count_;
-    kx_.residual(*a_, x, b, r);
+    kx_.residual(a_, x, b, r);
   }
   void apply_many(const VT* x, std::ptrdiff_t ldx, VT* y, std::ptrdiff_t ldy,
                   int k) override {
     this->count_ += static_cast<std::uint64_t>(k);  // k column-SpMVs, one A sweep
-    kx_.spmm(*a_, x, ldx, y, ldy, k);
+    kx_.spmm(a_, x, ldx, y, ldy, k);
   }
-  [[nodiscard]] index_t size() const override { return a_->nrows; }
-
-  [[nodiscard]] const CsrMatrix<MT>& matrix() const { return *a_; }
+  [[nodiscard]] index_t size() const override { return a_.nrows; }
 
  private:
-  const CsrMatrix<MT>* a_;
+  CsrView<MT> a_;
   kern::Kernels kx_;
 };
 
-/// Sliced-ELLPACK-backed operator (the paper's GPU storage format).
+/// Sliced-ELLPACK-backed operator (the paper's GPU storage format), over a
+/// SellMatrix or a value-only SellValues copy that must outlive it.
 template <class MT, class VT>
 class SellOperator final : public Operator<VT> {
  public:
-  explicit SellOperator(const SellMatrix<MT>& a, Backend be = Backend::kHost)
-      : a_(&a), kx_(be) {}
+  explicit SellOperator(SellView<MT> a, Backend be = Backend::kHost) : a_(a), kx_(be) {}
 
   void apply(std::span<const VT> x, std::span<VT> y) override {
     ++this->count_;
-    kx_.spmv(*a_, x, y);
+    kx_.spmv(a_, x, y);
   }
   void residual(std::span<const VT> b, std::span<const VT> x, std::span<VT> r) override {
     ++this->count_;
-    kx_.residual(*a_, x, b, r);
+    kx_.residual(a_, x, b, r);
   }
   void apply_many(const VT* x, std::ptrdiff_t ldx, VT* y, std::ptrdiff_t ldy,
                   int k) override {
     this->count_ += static_cast<std::uint64_t>(k);
-    kx_.spmm(*a_, x, ldx, y, ldy, k);
+    kx_.spmm(a_, x, ldx, y, ldy, k);
   }
-  [[nodiscard]] index_t size() const override { return a_->nrows; }
+  [[nodiscard]] index_t size() const override { return a_.nrows; }
 
  private:
-  const SellMatrix<MT>* a_;
+  SellView<MT> a_;
   kern::Kernels kx_;
 };
 

@@ -173,8 +173,8 @@ SdAinv::SdAinv(const CsrMatrix<double>& a_in, Config cfg) : FactoredPrecond(a_in
 
   auto f = std::make_shared<AinvFactors<double>>();
   f->n = n;
-  f->wt = cols_to_csr_rows(wcols, n);         // row i = wᵢᵀ
-  f->z = transpose(cols_to_csr_rows(zcols, n));  // rows of Z from columns zᵢ
+  f->wt = share_pattern(cols_to_csr_rows(wcols, n));             // row i = wᵢᵀ
+  f->z = share_pattern(transpose(cols_to_csr_rows(zcols, n)));  // rows of Z from columns zᵢ
   f->inv_d.resize(n);
   for (index_t i = 0; i < n; ++i) f->inv_d[i] = 1.0 / d[i];
   clamped_ = clamped;

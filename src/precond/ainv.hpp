@@ -29,12 +29,13 @@
 namespace nk {
 
 /// AINV data at storage precision P:  Wᵀ (rows = columns wᵢ), Z (natural row
-/// storage), and the inverted pivots d⁻¹.
+/// storage), and the inverted pivots d⁻¹.  Wᵀ and Z each have one pattern,
+/// shared by every precision's copy.
 template <class P>
 struct AinvFactors {
   index_t n = 0;
-  CsrMatrix<P> wt;          ///< row i = wᵢᵀ
-  CsrMatrix<P> z;           ///< Z by rows
+  CsrValues<P> wt;          ///< row i = wᵢᵀ
+  CsrValues<P> z;           ///< Z by rows
   std::vector<P> inv_d;     ///< 1/dᵢ
 
   [[nodiscard]] index_t fill_nnz() const { return wt.nnz() + z.nnz(); }
@@ -44,8 +45,8 @@ template <class Dst, class Src>
 AinvFactors<Dst> cast_factors(const AinvFactors<Src>& f) {
   AinvFactors<Dst> out;
   out.n = f.n;
-  out.wt = cast_matrix<Dst>(f.wt);
-  out.z = cast_matrix<Dst>(f.z);
+  out.wt = cast_values<Dst>(f.wt.pat, f.wt.vals);
+  out.z = cast_values<Dst>(f.z.pat, f.z.vals);
   out.inv_d.resize(f.inv_d.size());
   blas::convert<Src, Dst>(std::span<const Src>(f.inv_d), std::span<Dst>(out.inv_d));
   return out;

@@ -12,7 +12,7 @@ NeumannPrecond::NeumannPrecond(const CsrMatrix<double>& a, Config cfg)
   auto f = std::make_shared<NeumannData<double>>();
   f->n = a.nrows;
   f->degree = cfg.degree;
-  f->a = a;
+  f->a = share_pattern(a);
   f->inv_diag.resize(a.nrows);
   const auto d = a.diagonal();
   for (index_t i = 0; i < a.nrows; ++i)

@@ -22,11 +22,13 @@
 
 namespace nk {
 
+/// The matrix at storage precision P over one pattern shared by every
+/// precision's copy, and D⁻¹.
 template <class P>
 struct NeumannData {
   index_t n = 0;
   int degree = 2;
-  CsrMatrix<P> a;             ///< the (scaled) matrix
+  CsrValues<P> a;             ///< the (scaled) matrix
   std::vector<P> inv_diag;    ///< D⁻¹
 };
 
@@ -35,7 +37,7 @@ NeumannData<Dst> cast_factors(const NeumannData<Src>& f) {
   NeumannData<Dst> out;
   out.n = f.n;
   out.degree = f.degree;
-  out.a = cast_matrix<Dst>(f.a);
+  out.a = cast_values<Dst>(f.a.pat, f.a.vals);
   out.inv_diag.resize(f.inv_diag.size());
   blas::convert<Src, Dst>(std::span<const Src>(f.inv_diag), std::span<Dst>(out.inv_diag));
   return out;

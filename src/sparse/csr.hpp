@@ -3,11 +3,14 @@
 // The paper stores all matrices in CSR with 32-bit integer index arrays on
 // the CPU node; F3R keeps one copy of A per precision level actually used
 // (fp64 for the outermost FGMRES, fp32 for the second level, fp16 for the
-// third level and the innermost Richardson).
+// third level and the innermost Richardson).  The copies share ONE set of
+// indices: a CsrMatrix is its CsrPattern plus values, and a lower-precision
+// copy is a CsrValues — values only, over the fp64 matrix's pattern.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -17,20 +20,30 @@
 
 namespace nk {
 
-template <class T>
-struct CsrMatrix {
-  using value_type = T;
-
+/// The sparsity of a CSR matrix: everything but the values.
+struct CsrPattern {
   index_t nrows = 0;
   index_t ncols = 0;
   std::vector<index_t> row_ptr;  ///< size nrows + 1
   std::vector<index_t> col_idx;  ///< size nnz
-  std::vector<T> vals;           ///< size nnz
-
-  CsrMatrix() = default;
-  CsrMatrix(index_t rows, index_t cols) : nrows(rows), ncols(cols), row_ptr(rows + 1, 0) {}
 
   [[nodiscard]] index_t nnz() const { return row_ptr.empty() ? 0 : row_ptr.back(); }
+
+  /// Bytes of the two index arrays.
+  [[nodiscard]] std::size_t index_bytes() const {
+    return (row_ptr.size() + col_idx.size()) * sizeof(index_t);
+  }
+};
+
+template <class T>
+struct CsrMatrix : CsrPattern {
+  using value_type = T;
+
+  std::vector<T> vals;  ///< size nnz
+
+  CsrMatrix() = default;
+  CsrMatrix(index_t rows, index_t cols)
+      : CsrPattern{rows, cols, std::vector<index_t>(rows + 1, 0), {}} {}
 
   [[nodiscard]] bool empty() const { return nrows == 0; }
 
@@ -106,9 +119,60 @@ struct CsrMatrix {
   }
 };
 
-/// Value-cast a CSR matrix to another precision (structure is shared shape,
-/// values are rounded).  This is how F3R builds its fp32/fp16 copies of A,
-/// and how fp32/fp16 preconditioners are produced from fp64 factorizations.
+/// Values at precision T over a shared, immutable pattern: how F3R's fp32
+/// and fp16 copies of A (and of the neumann and sd-ainv matrices) are held,
+/// so every precision reads the one set of indices.
+template <class T>
+struct CsrValues {
+  using value_type = T;
+
+  std::shared_ptr<const CsrPattern> pat;
+  std::vector<T> vals;  ///< size pat->nnz()
+
+  [[nodiscard]] index_t nnz() const { return pat->nnz(); }
+};
+
+/// Move a matrix's indices into a shared pattern and keep its values.
+template <class T>
+CsrValues<T> share_pattern(CsrMatrix<T> a) {
+  auto pat = std::make_shared<const CsrPattern>(std::move(static_cast<CsrPattern&>(a)));
+  return {std::move(pat), std::move(a.vals)};
+}
+
+/// `vals` rounded to Dst over `pat`, which is shared, not copied.
+template <class Dst, class Src>
+CsrValues<Dst> cast_values(std::shared_ptr<const CsrPattern> pat,
+                           const std::vector<Src>& vals) {
+  CsrValues<Dst> out{std::move(pat), std::vector<Dst>(vals.size())};
+  blas::convert<Src, Dst>(std::span<const Src>(vals), std::span<Dst>(out.vals));
+  return out;
+}
+
+/// A read-only CSR matrix that owns nothing — what the sparse kernels read,
+/// so a CsrMatrix and a value-only CsrValues copy run the same code.
+template <class T>
+struct CsrView {
+  using value_type = T;
+
+  index_t nrows = 0;
+  index_t ncols = 0;
+  std::span<const index_t> row_ptr;
+  std::span<const index_t> col_idx;
+  std::span<const T> vals;
+
+  CsrView(const CsrPattern& p, std::span<const T> v)
+      : nrows(p.nrows), ncols(p.ncols), row_ptr(p.row_ptr), col_idx(p.col_idx), vals(v) {}
+  // Implicit, so either owner passes where a view is expected.
+  CsrView(const CsrMatrix<T>& a) : CsrView(a, a.vals) {}
+  CsrView(const CsrValues<T>& a) : CsrView(*a.pat, a.vals) {}
+
+  [[nodiscard]] index_t nnz() const { return row_ptr.empty() ? 0 : row_ptr.back(); }
+};
+
+/// Value-cast a CSR matrix to another precision into a new, self-contained
+/// matrix (indices copied, values rounded).  Solvers keep value-only
+/// CsrValues copies instead (cast_values); this is for code that wants an
+/// independent CsrMatrix at another precision.
 template <class Dst, class Src>
 CsrMatrix<Dst> cast_matrix(const CsrMatrix<Src>& a) {
   CsrMatrix<Dst> out;

@@ -9,6 +9,7 @@
 // substitution rationale.
 #pragma once
 
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -17,23 +18,79 @@
 
 namespace nk {
 
-template <class T>
-struct SellMatrix {
-  using value_type = T;
-
+/// The slice structure of a SELL-C matrix: everything but the values.
+struct SellPattern {
   index_t nrows = 0;
   index_t ncols = 0;
   int chunk = 32;                     ///< slice height C (paper: 32)
   std::vector<index_t> slice_ptr;     ///< per-slice offset into cols/vals (size nslices+1)
   std::vector<index_t> slice_width;   ///< padded width of each slice
   std::vector<index_t> cols;          ///< padded, column-major within slice
-  std::vector<T> vals;                ///< padded, column-major within slice
 
   [[nodiscard]] index_t nslices() const {
     return static_cast<index_t>((nrows + chunk - 1) / chunk);
   }
 
   /// Stored entries including padding.
+  [[nodiscard]] std::size_t padded_nnz() const { return cols.size(); }
+
+  /// Bytes of the three index arrays.
+  [[nodiscard]] std::size_t index_bytes() const {
+    return (slice_ptr.size() + slice_width.size() + cols.size()) * sizeof(index_t);
+  }
+};
+
+template <class T>
+struct SellMatrix : SellPattern {
+  using value_type = T;
+
+  std::vector<T> vals;                ///< padded, column-major within slice
+};
+
+/// Values at precision T over a shared slice structure (the fp32/fp16
+/// copies of A when the operators run SELL).
+template <class T>
+struct SellValues {
+  using value_type = T;
+
+  std::shared_ptr<const SellPattern> pat;
+  std::vector<T> vals;  ///< size pat->padded_nnz()
+};
+
+/// `vals` rounded to Dst over `pat`, which is shared, not copied.  Padding
+/// stays an exact zero, so this equals csr_to_sell of the cast CSR matrix.
+template <class Dst, class Src>
+SellValues<Dst> cast_values(std::shared_ptr<const SellPattern> pat,
+                            const std::vector<Src>& vals) {
+  SellValues<Dst> out{std::move(pat), std::vector<Dst>(vals.size())};
+  blas::convert<Src, Dst>(std::span<const Src>(vals), std::span<Dst>(out.vals));
+  return out;
+}
+
+/// A read-only SELL-C matrix that owns nothing — what the SELL kernels read
+/// (see CsrView).
+template <class T>
+struct SellView {
+  using value_type = T;
+
+  index_t nrows = 0;
+  index_t ncols = 0;
+  int chunk = 32;
+  std::span<const index_t> slice_ptr;
+  std::span<const index_t> slice_width;
+  std::span<const index_t> cols;
+  std::span<const T> vals;
+
+  SellView(const SellPattern& p, std::span<const T> v)
+      : nrows(p.nrows), ncols(p.ncols), chunk(p.chunk), slice_ptr(p.slice_ptr),
+        slice_width(p.slice_width), cols(p.cols), vals(v) {}
+  // Implicit, so either owner passes where a view is expected.
+  SellView(const SellMatrix<T>& a) : SellView(a, a.vals) {}
+  SellView(const SellValues<T>& a) : SellView(*a.pat, a.vals) {}
+
+  [[nodiscard]] index_t nslices() const {
+    return static_cast<index_t>((nrows + chunk - 1) / chunk);
+  }
   [[nodiscard]] std::size_t padded_nnz() const { return vals.size(); }
 };
 
@@ -82,8 +139,7 @@ SellMatrix<T> csr_to_sell(const CsrMatrix<T>& a, int chunk = 32) {
 }
 
 /// Padding overhead: padded_nnz / nnz (>= 1).
-template <class T>
-double sell_pad_ratio(const SellMatrix<T>& s, index_t real_nnz) {
+inline double sell_pad_ratio(const SellPattern& s, index_t real_nnz) {
   return real_nnz == 0 ? 1.0
                        : static_cast<double>(s.padded_nnz()) / static_cast<double>(real_nnz);
 }
@@ -176,7 +232,7 @@ inline void slice_sweep_simd(const MT* __restrict vals, const index_t* __restric
 /// back to it there, since the SIMD kernel's per-slice lane accumulators
 /// are sized for at most kSellSimdMaxChunk lanes.
 template <class MT, class XT, class YT, class Acc = promote_t<MT, XT>>
-void spmv_rowwise(const SellMatrix<MT>& a, std::span<const XT> x, std::span<YT> y) {
+void spmv_rowwise(SellView<MT> a, std::span<const XT> x, std::span<YT> y) {
   const index_t ns = a.nslices();
   const int C = a.chunk;
 #pragma omp parallel for schedule(static) if (static_cast<std::ptrdiff_t>(a.padded_nnz()) > blas::parallel_threshold())
@@ -194,7 +250,7 @@ void spmv_rowwise(const SellMatrix<MT>& a, std::span<const XT> x, std::span<YT> 
 
 /// y = A x over SELL-C: column-major within each slice, SIMD across lanes.
 template <class MT, class XT, class YT, class Acc = promote_t<MT, XT>>
-void spmv(const SellMatrix<MT>& a, std::span<const XT> x, std::span<YT> y) {
+void spmv(SellView<MT> a, std::span<const XT> x, std::span<YT> y) {
   const index_t ns = a.nslices();
   const int C = a.chunk;
   if (C > kSellSimdMaxChunk) {  // oversize chunks fall back to the lane walk
@@ -214,7 +270,7 @@ void spmv(const SellMatrix<MT>& a, std::span<const XT> x, std::span<YT> y) {
 /// y = b - A x over SELL-C (fused residual, same SIMD slice sweep).
 template <class MT, class XT, class BT, class YT,
           class Acc = promote_t<promote_t<MT, XT>, BT>>
-void residual(const SellMatrix<MT>& a, std::span<const XT> x, std::span<const BT> b,
+void residual(SellView<MT> a, std::span<const XT> x, std::span<const BT> b,
               std::span<YT> y) {
   const index_t ns = a.nslices();
   const int C = a.chunk;
@@ -236,6 +292,22 @@ void residual(const SellMatrix<MT>& a, std::span<const XT> x, std::span<const BT
       }
     }
   }
+}
+
+// The owning SellMatrix reads through its view.
+template <class MT, class XT, class YT, class Acc = promote_t<MT, XT>>
+void spmv_rowwise(const SellMatrix<MT>& a, std::span<const XT> x, std::span<YT> y) {
+  spmv_rowwise<MT, XT, YT, Acc>(SellView<MT>(a), x, y);
+}
+template <class MT, class XT, class YT, class Acc = promote_t<MT, XT>>
+void spmv(const SellMatrix<MT>& a, std::span<const XT> x, std::span<YT> y) {
+  spmv<MT, XT, YT, Acc>(SellView<MT>(a), x, y);
+}
+template <class MT, class XT, class BT, class YT,
+          class Acc = promote_t<promote_t<MT, XT>, BT>>
+void residual(const SellMatrix<MT>& a, std::span<const XT> x, std::span<const BT> b,
+              std::span<YT> y) {
+  residual<MT, XT, BT, YT, Acc>(SellView<MT>(a), x, b, y);
 }
 
 }  // namespace nk

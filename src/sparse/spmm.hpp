@@ -138,7 +138,7 @@ inline int next_group(int remaining) { return blas::greedy_group(remaining, kSpm
 
 /// Y_c = A X_c over CSR for c in [0, k).
 template <class MT, class XT, class YT, class Acc = promote_t<MT, XT>>
-void spmm(const CsrMatrix<MT>& a, const XT* x, std::ptrdiff_t ldx, YT* y,
+void spmm(CsrView<MT> a, const XT* x, std::ptrdiff_t ldx, YT* y,
           std::ptrdiff_t ldy, int k) {
   const std::ptrdiff_t n = a.nrows;
   if (k == 1) {
@@ -169,7 +169,7 @@ void spmm(const CsrMatrix<MT>& a, const XT* x, std::ptrdiff_t ldx, YT* y,
 /// Y_c = A X_c over SELL-C: per slice, the SIMD column-major sweep runs
 /// once per batch column while the slice's values/indices stay in cache.
 template <class MT, class XT, class YT, class Acc = promote_t<MT, XT>>
-void spmm(const SellMatrix<MT>& a, const XT* x, std::ptrdiff_t ldx, YT* y,
+void spmm(SellView<MT> a, const XT* x, std::ptrdiff_t ldx, YT* y,
           std::ptrdiff_t ldy, int k) {
   const index_t ns = a.nslices();
   const int C = a.chunk;
@@ -195,6 +195,18 @@ void spmm(const SellMatrix<MT>& a, const XT* x, std::ptrdiff_t ldx, YT* y,
       }
     }
   }
+}
+
+// The owning matrices read through their views.
+template <class MT, class XT, class YT, class Acc = promote_t<MT, XT>>
+void spmm(const CsrMatrix<MT>& a, const XT* x, std::ptrdiff_t ldx, YT* y,
+          std::ptrdiff_t ldy, int k) {
+  spmm<MT, XT, YT, Acc>(CsrView<MT>(a), x, ldx, y, ldy, k);
+}
+template <class MT, class XT, class YT, class Acc = promote_t<MT, XT>>
+void spmm(const SellMatrix<MT>& a, const XT* x, std::ptrdiff_t ldx, YT* y,
+          std::ptrdiff_t ldy, int k) {
+  spmm<MT, XT, YT, Acc>(SellView<MT>(a), x, ldx, y, ldy, k);
 }
 
 }  // namespace nk

@@ -112,7 +112,7 @@ inline Acc row_dot(const MT* __restrict v, const index_t* __restrict ci,
 
 /// y = A x.
 template <class MT, class XT, class YT, class Acc = promote_t<MT, XT>>
-void spmv(const CsrMatrix<MT>& a, std::span<const XT> x, std::span<YT> y) {
+void spmv(CsrView<MT> a, std::span<const XT> x, std::span<YT> y) {
   const std::ptrdiff_t n = a.nrows;
   const std::ptrdiff_t work = a.nnz();
   const index_t* __restrict rp = a.row_ptr.data();
@@ -127,7 +127,7 @@ void spmv(const CsrMatrix<MT>& a, std::span<const XT> x, std::span<YT> y) {
 
 /// y = b - A x  (fused residual; saves one pass over y).
 template <class MT, class XT, class BT, class YT, class Acc = promote_t<promote_t<MT, XT>, BT>>
-void residual(const CsrMatrix<MT>& a, std::span<const XT> x, std::span<const BT> b,
+void residual(CsrView<MT> a, std::span<const XT> x, std::span<const BT> b,
               std::span<YT> y) {
   const std::ptrdiff_t n = a.nrows;
   const std::ptrdiff_t work = a.nnz();
@@ -149,7 +149,7 @@ void residual(const CsrMatrix<MT>& a, std::span<const XT> x, std::span<const BT>
 /// row order per thread and combine in thread order (blas::detail::
 /// partial_sums), so one thread count gives one result.
 template <class MT, class XT>
-double relative_residual(const CsrMatrix<MT>& a, std::span<const XT> x,
+double relative_residual(CsrView<MT> a, std::span<const XT> x,
                          std::span<const double> b) {
   const index_t* __restrict rp = a.row_ptr.data();
   const index_t* __restrict ci = a.col_idx.data();
@@ -169,6 +169,22 @@ double relative_residual(const CsrMatrix<MT>& a, std::span<const XT> x,
                              });
   const double rr = acc[0], bb = acc[1];
   return bb == 0.0 ? std::sqrt(rr) : std::sqrt(rr / bb);
+}
+
+// The owning CsrMatrix reads through its view.
+template <class MT, class XT, class YT, class Acc = promote_t<MT, XT>>
+void spmv(const CsrMatrix<MT>& a, std::span<const XT> x, std::span<YT> y) {
+  spmv<MT, XT, YT, Acc>(CsrView<MT>(a), x, y);
+}
+template <class MT, class XT, class BT, class YT, class Acc = promote_t<promote_t<MT, XT>, BT>>
+void residual(const CsrMatrix<MT>& a, std::span<const XT> x, std::span<const BT> b,
+              std::span<YT> y) {
+  residual<MT, XT, BT, YT, Acc>(CsrView<MT>(a), x, b, y);
+}
+template <class MT, class XT>
+double relative_residual(const CsrMatrix<MT>& a, std::span<const XT> x,
+                         std::span<const double> b) {
+  return relative_residual<MT, XT>(CsrView<MT>(a), x, b);
 }
 
 }  // namespace nk

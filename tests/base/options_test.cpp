@@ -181,5 +181,40 @@ TEST(Options, HelpRendering) {
   EXPECT_NE(h.find("problem size"), std::string::npos);
 }
 
+TEST(OptionsDeathTest, UnreadFlagIsRejectedByName) {
+  EXPECT_EXIT(
+      {
+        auto o = parse({"--scale=2", "--bogus-flag=3"});
+        (void)o.get_int("scale", 1);
+        o.reject_unknown();
+      },
+      ::testing::ExitedWithCode(2), "unknown flag --bogus-flag");
+}
+
+TEST(OptionsDeathTest, TypoOfAReadFlagIsRejected) {
+  // --scael is not --scale: the getter's default must not silently win.
+  EXPECT_EXIT(
+      {
+        auto o = parse({"--scael=2"});
+        (void)o.get_int("scale", 1);
+        o.reject_unknown();
+      },
+      ::testing::ExitedWithCode(2), "unknown flag --scael");
+}
+
+TEST(Options, EveryLookupCountsAsRead) {
+  // A flag is known once any getter or has() looked it up, present or not;
+  // --help/-h are known once wants_help() is asked.
+  auto o = parse({"--n=4", "--w=0.5,1", "--quiet", "--tag", "x", "--help", "-h", "pos"});
+  (void)o.get_int("n", 0);
+  (void)o.get_double_list("w", {});
+  (void)o.has("quiet");
+  (void)o.get("tag", "");
+  (void)o.get_int("absent", 7);
+  EXPECT_TRUE(o.wants_help());
+  o.reject_unknown();  // returns: nothing unread
+  EXPECT_EQ(o.positional(), (std::vector<std::string>{"pos"}));
+}
+
 }  // namespace
 }  // namespace nk

@@ -286,6 +286,7 @@ int main(int argc, char** argv) {
   }
 
   std::vector<std::string> matrices = opt.get_list("matrices", {"all"});
+  opt.reject_unknown();
   bool full_grid = false;
   if (matrices.size() == 1 && matrices[0] == "all") {
     matrices.clear();

@@ -33,15 +33,61 @@ std::shared_ptr<MultiPrecMatrix> small_matrix(bool sell = false) {
 
 TEST(MultiPrecMatrix, LazyCopiesTrackedByValueBytes) {
   auto a = small_matrix();
-  const std::size_t base = a->value_bytes();
-  EXPECT_EQ(base, a->csr_fp64().vals.size() * 8);
+  const CsrMatrix<double>& a64 = a->csr_fp64();
+  const std::size_t nnz = a64.vals.size();
+  const std::size_t base = a->bytes();
+  EXPECT_EQ(base, nnz * 8 + (a64.row_ptr.size() + a64.col_idx.size()) * sizeof(index_t));
+  // A lower copy adds its values and no index bytes.
   auto op32 = a->make_operator<float>(Prec::FP32);
-  EXPECT_EQ(a->value_bytes(), base + a->csr_fp64().vals.size() * 4);
+  EXPECT_EQ(a->bytes(), base + nnz * 4);
   auto op16 = a->make_operator<half>(Prec::FP16);
-  EXPECT_EQ(a->value_bytes(), base + a->csr_fp64().vals.size() * 6);
+  EXPECT_EQ(a->bytes(), base + nnz * 6);
   // Re-requesting does not duplicate.
   auto op16b = a->make_operator<float>(Prec::FP16);
-  EXPECT_EQ(a->value_bytes(), base + a->csr_fp64().vals.size() * 6);
+  EXPECT_EQ(a->bytes(), base + nnz * 6);
+}
+
+TEST(MultiPrecMatrix, LowerCopiesShareTheFp64Indices) {
+  auto a = small_matrix();
+  const CsrMatrix<double>& a64 = a->csr_fp64();
+  const auto check = [&]<class P>() {
+    const MatrixCopy<P>& c = a->copy<P>();
+    ASSERT_TRUE(c.csr.has_value());
+    EXPECT_FALSE(c.sell.has_value());
+    EXPECT_EQ(c.csr->pat.get(), static_cast<const CsrPattern*>(&a64));
+    EXPECT_EQ(CsrView<P>(*c.csr).row_ptr.data(), a64.row_ptr.data());
+    EXPECT_EQ(CsrView<P>(*c.csr).col_idx.data(), a64.col_idx.data());
+    EXPECT_EQ(c.csr->vals.size(), a64.vals.size());
+  };
+  check.template operator()<float>();
+  check.template operator()<half>();
+}
+
+TEST(MultiPrecMatrix, SellCopiesShareTheSliceStructureAndKeepNoCsr) {
+  auto a = small_matrix(/*sell=*/true);
+  const MatrixCopy<double>& c64 = a->copy<double>();
+  ASSERT_NE(c64.sell, nullptr);
+  const std::size_t padded = c64.sell->padded_nnz();
+  const std::size_t base = a->bytes();
+  EXPECT_EQ(base, c64.csr->index_bytes() + c64.csr->vals.size() * 8 +
+                      c64.sell->index_bytes() + padded * 8);
+  const auto check = [&]<class P>() {
+    const MatrixCopy<P>& c = a->copy<P>();
+    EXPECT_FALSE(c.csr.has_value());
+    ASSERT_TRUE(c.sell.has_value());
+    EXPECT_EQ(c.sell->pat.get(), static_cast<const SellPattern*>(c64.sell.get()));
+    EXPECT_EQ(SellView<P>(*c.sell).cols.data(), c64.sell->cols.data());
+    EXPECT_EQ(SellView<P>(*c.sell).slice_ptr.data(), c64.sell->slice_ptr.data());
+    // The values equal a SELL conversion of the cast CSR matrix.
+    const auto ref = csr_to_sell(cast_matrix<P>(a->csr_fp64()), c64.sell->chunk);
+    ASSERT_EQ(c.sell->vals.size(), ref.vals.size());
+    for (std::size_t k = 0; k < ref.vals.size(); ++k)
+      EXPECT_EQ(static_cast<double>(c.sell->vals[k]), static_cast<double>(ref.vals[k]));
+  };
+  check.template operator()<float>();
+  EXPECT_EQ(a->bytes(), base + padded * 4);
+  check.template operator()<half>();
+  EXPECT_EQ(a->bytes(), base + padded * 6);
 }
 
 TEST(MultiPrecMatrix, OperatorsComputeSameProduct) {

@@ -73,9 +73,12 @@ TEST(Ainv, SymmetricModeSharesFactors) {
   SdAinv m(a, {.drop_tol = 0.05, .max_fill = 8, .symmetric = true});
   const auto& f = m.factors<double>();
   // W = Z → Wᵀ must equal Zᵀ: compare via transpose(z).
-  const auto zt = transpose(f.z);
+  CsrMatrix<double> z;
+  static_cast<CsrPattern&>(z) = *f.z.pat;
+  z.vals = f.z.vals;
+  const auto zt = transpose(z);
   ASSERT_EQ(zt.nnz(), f.wt.nnz());
-  EXPECT_EQ(zt.col_idx, f.wt.col_idx);
+  EXPECT_EQ(zt.col_idx, f.wt.pat->col_idx);
   for (std::size_t k = 0; k < zt.vals.size(); ++k)
     EXPECT_DOUBLE_EQ(zt.vals[k], f.wt.vals[k]);
 }

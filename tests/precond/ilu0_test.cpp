@@ -228,6 +228,12 @@ TEST(PrecLadder, EveryPrimaryMintsEachStorageCopyOnce) {
   EXPECT_EQ(ic.factors<half>().pat, ic.factors<double>().pat);
   EXPECT_EQ(ssor.factors<float>().pat, ssor.factors<double>().pat);
   EXPECT_EQ(ssor.factors<half>().pat, ssor.factors<double>().pat);
+  EXPECT_EQ(neu.factors<float>().a.pat, neu.factors<double>().a.pat);
+  EXPECT_EQ(neu.factors<half>().a.pat, neu.factors<double>().a.pat);
+  EXPECT_EQ(ainv.factors<float>().wt.pat, ainv.factors<double>().wt.pat);
+  EXPECT_EQ(ainv.factors<half>().wt.pat, ainv.factors<double>().wt.pat);
+  EXPECT_EQ(ainv.factors<float>().z.pat, ainv.factors<double>().z.pat);
+  EXPECT_EQ(ainv.factors<half>().z.pat, ainv.factors<double>().z.pat);
 }
 
 TEST(Ilu0, RejectsNonSquare) {

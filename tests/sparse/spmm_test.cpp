@@ -9,8 +9,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <memory>
 #include <vector>
 
+#include "backend/kernels.hpp"
 #include "base/blas_block.hpp"
 #include "base/rng.hpp"
 #include "sparse/gen/laplace.hpp"
@@ -223,6 +226,54 @@ TEST(AxpbyCols, BitExactVsPerColumnAxpby) {
     blas::axpby(alpha[c], std::span<const double>(x.data() + c * nn, nn), beta[c],
                 std::span<double>(ref.data() + c * nn, nn));
   for (std::size_t i = 0; i < fused.size(); ++i) ASSERT_EQ(fused[i], ref[i]) << i;
+}
+
+/// y and z hold the same bits.
+template <class T>
+void expect_bitwise_equal(const std::vector<T>& y, const std::vector<T>& z, const char* what) {
+  ASSERT_EQ(y.size(), z.size());
+  EXPECT_EQ(std::memcmp(y.data(), z.data(), y.size() * sizeof(T)), 0) << what;
+}
+
+/// spmv / residual / spmm on a value-only copy (values over the fp64
+/// matrix's own pattern) against the same calls on a self-contained
+/// cast_matrix copy: the kernels must not care which one they read.
+template <class MT, class VT>
+void check_value_only_copy(const CsrMatrix<double>& a64, Backend be) {
+  const auto owner = std::make_shared<const CsrMatrix<double>>(a64);
+  const CsrValues<MT> lo = cast_values<MT>(owner, owner->vals);
+  const CsrMatrix<MT> full = cast_matrix<MT>(a64);
+  ASSERT_EQ(CsrView<MT>(lo).col_idx.data(), owner->col_idx.data());
+  const kern::Kernels kx(be);
+  const auto n = static_cast<std::size_t>(a64.nrows);
+  const int k = 3;
+  const auto x = typed_random<VT>(n * k, 11);
+  const auto b = typed_random<VT>(n, 12);
+  const std::span<const VT> x0(x.data(), n);
+  std::vector<VT> y1(n * k), y2(n * k);
+
+  kx.spmv(lo, x0, std::span<VT>(y1.data(), n));
+  kx.spmv(full, x0, std::span<VT>(y2.data(), n));
+  expect_bitwise_equal(y1, y2, "spmv");
+
+  kx.residual(lo, x0, std::span<const VT>(b), std::span<VT>(y1.data(), n));
+  kx.residual(full, x0, std::span<const VT>(b), std::span<VT>(y2.data(), n));
+  expect_bitwise_equal(y1, y2, "residual");
+
+  const auto ld = static_cast<std::ptrdiff_t>(n);
+  kx.spmm(lo, x.data(), ld, y1.data(), ld, k);
+  kx.spmm(full, x.data(), ld, y2.data(), ld, k);
+  expect_bitwise_equal(y1, y2, "spmm");
+}
+
+TEST(ValueOnlyCopy, KernelsMatchCastMatrixOnHostAndSerial) {
+  const auto a = test_matrix(4099, 7.0, 21);
+  for (const Backend be : {Backend::kHost, Backend::kSerial}) {
+    SCOPED_TRACE(be == Backend::kHost ? "host" : "serial");
+    check_value_only_copy<float, float>(a, be);
+    check_value_only_copy<half, float>(a, be);
+    check_value_only_copy<half, half>(a, be);
+  }
 }
 
 }  // namespace
