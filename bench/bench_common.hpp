@@ -1,23 +1,22 @@
-// Shared plumbing for the figure/table reproduction benches.
+// Shared plumbing for the paper driver (bench_paper) and bench_kernels.
 //
-// Every bench binary accepts:
-//   --matrices=a,b,c   matrix subset (paper names; "all" = full Table 2 set)
+// bench_paper's flags; each subcommand reads only the flags it honours, and
+// any other flag exits 2 with one line naming it:
+//   --matrices=a,b,c   matrix subset (paper names; "all" = full Table 2 set,
+//                      "sym" / "nonsym" = its symmetric / nonsymmetric half)
 //   --scale=N          linear-size multiplier for the generated problems
 //   --rtol=X           convergence tolerance (paper: 1e-8)
 //   --max-iters=N      cap for the flat solvers (paper: 19200)
 //   --runs=N           repetitions; the minimum time is reported (paper
 //                      averages 3 runs; min is steadier on shared machines)
-//   --nblocks=N        block count for block-Jacobi ILU(0)/IC(0)
+//   --nblocks=N        block count for block-Jacobi ILU(0)/IC(0) and SSOR
 //   --csv=path         also write the result table as CSV
 //   --best             include the fp16-F3R-best parameter search (slow)
 //   --format=csr|sell  sparse storage for the solver operators (sell =
 //                      sliced ELLPACK, the paper's GPU-node layout)
-//   --gpu-sim          the paper's GPU-node configuration where a bench has one
-//   --help             print these flags and exit 0
+//   --help             list the subcommands and these flags, exit 0
 //
-// Any other flag exits 2 with one line naming it.
-//
-// Default matrix subsets are chosen so the whole bench suite finishes in
+// Default matrix subsets are chosen so every subcommand finishes in
 // minutes on a single core; pass --matrices=all --scale=2 (or more) for
 // paper-scale runs.
 #pragma once
@@ -50,22 +49,24 @@ struct BenchConfig {
   int nblocks = 64;
   std::string csv;
   bool best = false;
-  bool gpu_sim = false;
   std::string format = "csr";  ///< sparse storage: "csr" or "sell"
+  std::string settings;        ///< "key=value" of every flag this run honours
 
   [[nodiscard]] bool use_sell() const { return format == "sell"; }
 };
 
+/// Read --matrices, --scale and those of `honoured` (space-separated flag
+/// names) into a config, then reject every other flag.
 inline BenchConfig parse_bench_options(const Options& opt,
-                                       std::vector<std::string> default_matrices) {
+                                       const std::vector<std::string>& default_matrices,
+                                       const std::string& honoured) {
   // A typo'd NKRYLOV_BACKEND must kill the bench up front, not tag hours
   // of records with a backend the run never used.
   require_backend_env_cli();
-  if (opt.wants_help()) {
-    std::cout << "flags: --matrices=a,b,...|all|sym|nonsym --scale=N --rtol=X --max-iters=N\n"
-                 "       --runs=N --nblocks=N --csv=path --best --gpu-sim --format=csr|sell\n";
-    std::exit(0);
-  }
+  const std::string flags = " " + honoured + " ";
+  const auto honours = [&flags](const char* f) {
+    return flags.find(" " + std::string(f) + " ") != std::string::npos;
+  };
   BenchConfig c;
   c.matrices = opt.get_list("matrices", default_matrices);
   if (c.matrices.size() == 1 && c.matrices[0] == "all") {
@@ -75,31 +76,38 @@ inline BenchConfig parse_bench_options(const Options& opt,
   if (c.matrices.size() == 1 && c.matrices[0] == "sym") c.matrices = gen::symmetric_set();
   if (c.matrices.size() == 1 && c.matrices[0] == "nonsym")
     c.matrices = gen::nonsymmetric_set();
-  c.scale = opt.get_int("scale", 1);
-  c.rtol = opt.get_double("rtol", 1e-8);
-  c.max_iters = opt.get_int("max-iters", 3000);
-  c.runs = opt.get_int("runs", 1);
-  c.nblocks = opt.get_int("nblocks", 64);
-  c.csv = opt.get("csv", "");
-  c.best = opt.get_bool("best", false);
-  c.gpu_sim = opt.get_bool("gpu-sim", false);
-  c.format = opt.get("format", "csr");
-  if (c.format != "csr" && c.format != "sell") {
-    // Same discipline as the Options numeric parsers: one line naming the
-    // flag, then exit(2) — not an uncaught throw that hides the flag.
-    std::cerr << "error: invalid value '" << c.format << "' for --format (csr|sell)\n";
-    std::exit(2);
+  c.scale = opt.get_int("scale", c.scale);
+  std::ostringstream set;
+  set << std::boolalpha << "scale=" << c.scale;
+  if (honours("rtol")) set << " rtol=" << (c.rtol = opt.get_double("rtol", c.rtol));
+  if (honours("max-iters"))
+    set << " max-iters=" << (c.max_iters = opt.get_int("max-iters", c.max_iters));
+  if (honours("runs")) set << " runs=" << (c.runs = opt.get_int("runs", c.runs));
+  if (honours("nblocks")) set << " nblocks=" << (c.nblocks = opt.get_int("nblocks", c.nblocks));
+  if (honours("csv")) c.csv = opt.get("csv", "");
+  if (honours("best")) set << " best=" << (c.best = opt.get_bool("best", false));
+  if (honours("format")) {
+    c.format = opt.get("format", c.format);
+    if (c.format != "csr" && c.format != "sell") {
+      // Same discipline as the Options numeric parsers: one line naming the
+      // flag, then exit(2) — not an uncaught throw that hides the flag.
+      std::cerr << "error: invalid value '" << c.format << "' for --format (csr|sell)\n";
+      std::exit(2);
+    }
+    set << " format=" << c.format;
   }
+  c.settings = set.str();
   opt.reject_unknown();
   return c;
 }
 
-/// The paper's CPU-node primary preconditioner for this run: block-Jacobi
-/// ILU(0)/IC(0) with --nblocks blocks.
-inline std::shared_ptr<PrimaryPrecond> bj_primary(const PreparedProblem& p,
-                                                  const BenchConfig& c) {
-  return registry().make_precond(
-      parse_precond_spec("bj;nblocks=" + std::to_string(c.nblocks)), p);
+/// The primary preconditioner `spec` (a registry spec such as "bj" or
+/// "ssor;omega=1") with --nblocks blocks where the kind is blocked.
+inline std::shared_ptr<PrimaryPrecond> primary(const PreparedProblem& p, const std::string& spec,
+                                               const BenchConfig& c) {
+  PrecondSpec s = parse_precond_spec(spec);
+  s.nblocks = c.nblocks;
+  return registry().make_precond(s, p);
 }
 
 /// A flat baseline's spec under this run's caps: `kind` ("krylov",
@@ -116,10 +124,7 @@ inline SolverSpec flat_spec(const std::string& kind, Prec prec, const BenchConfi
 inline void print_header(const std::string& what, const BenchConfig& c) {
   std::cout << "nkrylov bench: " << what << "\n";
   std::cout << "env: " << env_summary() << "\n";
-  std::cout << "config: scale=" << c.scale << " rtol=" << c.rtol
-            << " max-iters=" << c.max_iters << " runs=" << c.runs
-            << " nblocks=" << c.nblocks << " format=" << c.format
-            << (c.gpu_sim ? " [GPU-sim]" : " [CPU]") << "\n";
+  std::cout << "config: " << c.settings << "\n";
   std::cout << "matrices:";
   for (const auto& m : c.matrices) std::cout << " " << m;
   std::cout << "\n";

@@ -405,7 +405,7 @@ void register_builtin_kinds(Registry& r) {
                 });
   r.add_precond({"neumann", "Neumann-series approximate inverse (degree)"},
                 [](const PrecondSpec& s, const PreparedProblem& p) {
-                  return std::make_shared<NeumannPrecond>(p.a->csr_fp64(),
+                  return std::make_shared<NeumannPrecond>(p.a->copy<double>().csr,
                                                           NeumannPrecond::Config{s.degree});
                 });
   r.add_precond({"none", "identity (un-preconditioned)"},

@@ -95,16 +95,22 @@ BestSearchResult run_f3r_best(const PreparedProblem& p, std::shared_ptr<PrimaryP
   std::stable_sort(cands.begin(), cands.end(),
                    [](const Cand& a, const Cand& b) { return a.model_cost < b.model_cost; });
 
+  // Each converged candidate is scored by modeled work, the tuner's
+  // currency: its M-applies times the model's cost per M-apply.  Unlike
+  // wall clock, that score repeats run to run at a fixed thread count;
+  // strict < keeps the earlier (model-cheaper) candidate on a tie.
   BestSearchResult best;
-  best.result.seconds = std::numeric_limits<double>::max();
+  double best_work = std::numeric_limits<double>::max();
   for (const Cand& c : cands) {
     if (best.tried >= budget) break;
     ++best.tried;
     auto res = Session(borrow_problem(p), f3r_config(Prec::FP16, c.prm),
                        f3r_termination(rtol), m)
                    .solve();
-    if (res.converged &&
-        (!best.result.converged || res.seconds < best.result.seconds)) {
+    const double work = static_cast<double>(res.precond_invocations) * c.model_cost /
+                        (c.prm.m2 * c.prm.m3 * c.prm.m4);
+    if (res.converged && work < best_work) {
+      best_work = work;
       best.result = res;
       best.params = c.prm;
       best.param_label = std::to_string(c.prm.m2) + "-" + std::to_string(c.prm.m3) + "-" +

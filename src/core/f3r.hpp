@@ -44,7 +44,8 @@ std::string f3r_name(Prec lowest);
 Termination f3r_termination(double rtol = 1e-8);
 
 /// Search the paper's fp16-F3R-best parameter box (m2 ∈ {6..10},
-/// m3 ∈ {2..6}, m4 ∈ {1,2}) and return the fastest converged run plus its
+/// m3 ∈ {2..6}, m4 ∈ {1,2}) and return the converged run of least modeled
+/// work (M-applies × the memory-access model's cost per M-apply) plus its
 /// parameters formatted "m2-m3-m4".  `budget` limits the number of
 /// configurations tried (they are ordered by the memory-access model).
 struct BestSearchResult {

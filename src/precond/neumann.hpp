@@ -13,6 +13,7 @@
 #pragma once
 
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "backend/kernels.hpp"
@@ -22,24 +23,33 @@
 
 namespace nk {
 
-/// The matrix at storage precision P over one pattern shared by every
-/// precision's copy, and D⁻¹.
+/// A at storage precision P, and D⁻¹.  The fp64 matrix is A itself, shared
+/// with the problem; a lower copy is A's values rounded to P over A's
+/// pattern, so a neumann primary adds no fp64 copy of A.
 template <class P>
 struct NeumannData {
   index_t n = 0;
   int degree = 2;
-  CsrValues<P> a;             ///< the (scaled) matrix
-  std::vector<P> inv_diag;    ///< D⁻¹
+  std::shared_ptr<const CsrMatrix<double>> a;  ///< A: the pattern, and the fp64 values
+  std::vector<P> vals;      ///< A's values at P; empty at fp64, which reads a->vals
+  std::vector<P> inv_diag;  ///< D⁻¹
+
+  [[nodiscard]] CsrView<P> matrix() const {
+    if constexpr (std::is_same_v<P, double>) return *a;
+    else return {*a, vals};
+  }
 };
 
-template <class Dst, class Src>
-NeumannData<Dst> cast_factors(const NeumannData<Src>& f) {
+template <class Dst>
+NeumannData<Dst> cast_factors(const NeumannData<double>& f) {
   NeumannData<Dst> out;
   out.n = f.n;
   out.degree = f.degree;
-  out.a = cast_values<Dst>(f.a.pat, f.a.vals);
+  out.a = f.a;
+  out.vals.resize(f.a->vals.size());
+  blas::convert<double, Dst>(std::span<const double>(f.a->vals), std::span<Dst>(out.vals));
   out.inv_diag.resize(f.inv_diag.size());
-  blas::convert<Src, Dst>(std::span<const Src>(f.inv_diag), std::span<Dst>(out.inv_diag));
+  blas::convert<double, Dst>(std::span<const double>(f.inv_diag), std::span<Dst>(out.inv_diag));
   return out;
 }
 
@@ -59,7 +69,7 @@ void neumann_apply(const NeumannData<P>& f, std::span<const VT> r, std::span<VT>
     z[i] = static_cast<VT>(static_cast<W>(r[i]) * static_cast<W>(f.inv_diag[i]));
   for (int k = 0; k < f.degree; ++k) {
     // tmp ← A z;  z ← D⁻¹ r + z − D⁻¹ tmp
-    kx.spmv(f.a, std::span<const VT>(z.data(), z.size()), tmp);
+    kx.spmv(f.matrix(), std::span<const VT>(z.data(), z.size()), tmp);
 #pragma omp parallel for schedule(static) if (par)
     for (std::ptrdiff_t i = 0; i < n; ++i) {
       const W d = static_cast<W>(f.inv_diag[i]);
@@ -94,7 +104,8 @@ class NeumannPrecond final : public FactoredPrecond<NeumannData, NeumannApplyHan
     int degree = 2;  ///< number of SpMVs per application
   };
 
-  NeumannPrecond(const CsrMatrix<double>& a, Config cfg);
+  /// Holds `a` itself: the fp64 apply reads A's own values.
+  NeumannPrecond(std::shared_ptr<const CsrMatrix<double>> a, Config cfg);
 
   [[nodiscard]] std::string name() const override { return "neumann"; }
 };

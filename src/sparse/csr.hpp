@@ -120,8 +120,8 @@ struct CsrMatrix : CsrPattern {
 };
 
 /// Values at precision T over a shared, immutable pattern: how F3R's fp32
-/// and fp16 copies of A (and of the neumann and sd-ainv matrices) are held,
-/// so every precision reads the one set of indices.
+/// and fp16 copies of A (and of the sd-ainv matrices) are held, so every
+/// precision reads the one set of indices.
 template <class T>
 struct CsrValues {
   using value_type = T;

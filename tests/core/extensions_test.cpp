@@ -99,7 +99,7 @@ TEST(Extensions, SsorAsPrimaryOfF3r) {
 
 TEST(Extensions, NeumannAsPrimaryOfF3r) {
   auto p = prepare_standin("hpcg_4_4_4", 1);
-  auto nm = std::make_shared<NeumannPrecond>(p.a->csr_fp64(),
+  auto nm = std::make_shared<NeumannPrecond>(p.a->copy<double>().csr,
                                              NeumannPrecond::Config{.degree = 2});
   const auto res = Session(borrow_problem(p), f3r_config(Prec::FP16), f3r_termination(1e-8),
                            std::static_pointer_cast<PrimaryPrecond>(nm)).solve();

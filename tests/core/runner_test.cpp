@@ -167,6 +167,21 @@ TEST(Runner, F3rBestOrdersCandidatesByMemoryAccessModel) {
                                   std::to_string(e4));
 }
 
+TEST(Runner, F3rBestPickRepeatsAcrossCalls) {
+  // The pick is scored by modeled work, not wall clock, so two searches
+  // over the same box return the same configuration and count.
+  auto p = prepare_problem("s", gen::laplace2d(10, 10), true, 1.0, 1.0, 12);
+  auto m = precond(p, "bj;nblocks=2");
+  const auto first = run_f3r_best(p, m, 1e-8, 6);
+  const auto second = run_f3r_best(p, m, 1e-8, 6);
+  ASSERT_TRUE(first.result.converged);
+  EXPECT_EQ(second.param_label, first.param_label);
+  EXPECT_EQ(second.params.m2, first.params.m2);
+  EXPECT_EQ(second.params.m3, first.params.m3);
+  EXPECT_EQ(second.params.m4, first.params.m4);
+  EXPECT_EQ(second.result.precond_invocations, first.result.precond_invocations);
+}
+
 TEST(Runner, F3rBestSkipsNonConvergedCandidates) {
   // An unreachable tolerance: every candidate fails, the search reports
   // the whole budget as tried and returns a non-converged placeholder.

@@ -11,9 +11,13 @@
 namespace nk {
 namespace {
 
+std::shared_ptr<const CsrMatrix<double>> shared(const CsrMatrix<double>& a) {
+  return std::make_shared<const CsrMatrix<double>>(a);
+}
+
 TEST(Neumann, DegreeZeroIsJacobi) {
   auto a = test::laplace2d(6, 6);
-  NeumannPrecond nm(a, {.degree = 0});
+  NeumannPrecond nm(shared(a), {.degree = 0});
   JacobiPrecond jac(a);
   auto hn = nm.make_apply_fp64(Prec::FP64);
   auto hj = jac.make_apply_fp64(Prec::FP64);
@@ -28,7 +32,7 @@ TEST(Neumann, MatchesExplicitSeriesOnScaledMatrix) {
   // On a diagonally scaled matrix (D = I), degree-2 must equal
   // (I + N + N²) r with N = I − A.
   auto a = test::scaled_laplace2d(5, 5);
-  NeumannPrecond nm(a, {.degree = 2});
+  NeumannPrecond nm(shared(a), {.degree = 2});
   auto h = nm.make_apply_fp64(Prec::FP64);
   const auto r = random_vector<double>(a.nrows, 2, -1.0, 1.0);
   std::vector<double> z(a.nrows);
@@ -51,7 +55,7 @@ TEST(Neumann, HigherDegreeImprovesApproximation) {
   const auto r = random_vector<double>(a.nrows, 3, 0.0, 1.0);
   double prev = 1e300;
   for (int deg : {0, 1, 2, 4}) {
-    NeumannPrecond nm(a, {.degree = deg});
+    NeumannPrecond nm(shared(a), {.degree = deg});
     auto h = nm.make_apply_fp64(Prec::FP64);
     std::vector<double> z(a.nrows), az(a.nrows);
     h->apply(r, std::span<double>(z));
@@ -75,7 +79,7 @@ TEST(Neumann, AcceleratesCg) {
   std::vector<double> x1(a.nrows, 0.0);
   const auto r1 = cg_j.solve(b, std::span<double>(x1));
 
-  NeumannPrecond nm(a, {.degree = 2});
+  NeumannPrecond nm(shared(a), {.degree = 2});
   auto hn = nm.make_apply_fp64(Prec::FP64);
   CgSolver<double> cg_n(op, *hn, {.rtol = 1e-8, .max_iters = 5000});
   std::vector<double> x2(a.nrows, 0.0);
@@ -88,7 +92,7 @@ TEST(Neumann, AcceleratesCg) {
 
 TEST(Neumann, Fp16StorageApplyFinite) {
   auto a = test::scaled_laplace2d(8, 8);
-  NeumannPrecond nm(a, {.degree = 2});
+  NeumannPrecond nm(shared(a), {.degree = 2});
   auto h = nm.make_apply_fp16(Prec::FP16);
   const auto r = random_vector<half>(a.nrows, 5, 0.0, 1.0);
   std::vector<half> z(a.nrows);
@@ -98,15 +102,15 @@ TEST(Neumann, Fp16StorageApplyFinite) {
 
 TEST(Neumann, RejectsBadArguments) {
   auto a = test::laplace2d(4, 4);
-  EXPECT_THROW(NeumannPrecond(a, {.degree = -1}), std::invalid_argument);
+  EXPECT_THROW(NeumannPrecond(shared(a), {.degree = -1}), std::invalid_argument);
   CsrMatrix<double> rect(2, 3);
   rect.row_ptr = {0, 0, 0};
-  EXPECT_THROW(NeumannPrecond(rect, {}), std::invalid_argument);
+  EXPECT_THROW(NeumannPrecond(shared(rect), {}), std::invalid_argument);
 }
 
 TEST(Neumann, CountsInvocations) {
   auto a = test::laplace2d(4, 4);
-  NeumannPrecond nm(a, {.degree = 1});
+  NeumannPrecond nm(shared(a), {.degree = 1});
   auto h = nm.make_apply_fp64(Prec::FP64);
   std::vector<double> r(a.nrows, 1.0), z(a.nrows);
   for (int i = 0; i < 3; ++i) h->apply(std::span<const double>(r), std::span<double>(z));
